@@ -2,7 +2,10 @@
 // exact vs HLL vs compact, at fleet scales of 1M / 10M / 50M monitored hosts.
 // Writes BENCH_compact.json (one record per backend × scale with bytes/host,
 // relative-error quantiles, false-positive rate at the paper's budget, and
-// add() throughput) for CI diffs and the EXPERIMENTS.md frontier table.
+// add() throughput) for CI diffs and the EXPERIMENTS.md frontier table.  A
+// "meta" object records host name, hardware threads, build type and source
+// commit (`git describe --always --dirty` of the source tree, "unknown"
+// outside a checkout), so ns_per_add rows from two commits can be diffed.
 // Usage: compact_counter_bench [output.json].
 //
 // Methodology.  Exact and HLL counters are per-host and independent, so
@@ -19,7 +22,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "fleet/distinct_counter.hpp"
 #include "fleet/shared_sketch_pool.hpp"
@@ -180,6 +186,20 @@ BackendResult bench_compact_at_scale(std::uint64_t scale, std::uint32_t banks_sa
   return out;
 }
 
+/// Commit of the source tree this binary was built from.
+std::string source_commit() {
+  const std::string command =
+      "git -C '" WORMS_SOURCE_DIR "' describe --always --dirty --abbrev=40 2>/dev/null";
+  std::FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "unknown";
+  char line[128] = {};
+  const bool got = std::fgets(line, sizeof line, pipe) != nullptr;
+  const int status = pclose(pipe);
+  std::string commit = got && status == 0 ? line : "";
+  while (!commit.empty() && (commit.back() == '\n' || commit.back() == '\r')) commit.pop_back();
+  return commit.empty() ? "unknown" : commit;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -203,7 +223,14 @@ int main(int argc, char** argv) {
                  out_path.c_str());
     return 1;
   }
-  std::fprintf(out, "{\n  \"budget_m\": %" PRIu64 ",\n  \"flag_threshold\": %.0f,\n",
+  char host[256] = {};
+  gethostname(host, sizeof host - 1);
+  std::fprintf(out,
+               "{\n  \"meta\": {\"host\": \"%s\", \"nproc\": %u, \"build_type\": \"%s\", "
+               "\"commit\": \"%s\"},\n",
+               host, std::thread::hardware_concurrency(), WORMS_BUILD_TYPE,
+               source_commit().c_str());
+  std::fprintf(out, "  \"budget_m\": %" PRIu64 ",\n  \"flag_threshold\": %.0f,\n",
                kBudgetM, kFlagThreshold);
   std::fprintf(out, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -194,8 +194,9 @@ class CompactCounter final : public DistinctCounter {
   CompactCounter& operator=(const CompactCounter&) = delete;
 
   std::uint32_t add(std::uint32_t destination) override {
-    bank_->add(compact_slice_seed(host_, epoch_), destination);
-    const std::uint64_t target = current_target();
+    const std::uint64_t seed = compact_slice_seed(host_, epoch_);
+    bank_->add(seed, destination);
+    const std::uint64_t target = current_target(seed);
     if (target <= reported_) return 0;
     const std::uint64_t delta = target - reported_;
     reported_ = target;
@@ -218,9 +219,8 @@ class CompactCounter final : public DistinctCounter {
   [[nodiscard]] std::int64_t anchor() const noexcept { return anchor_; }
 
  private:
-  [[nodiscard]] std::uint64_t current_target() const noexcept {
-    const auto estimate = static_cast<std::int64_t>(
-        bank_->host_estimate(compact_slice_seed(host_, epoch_)));
+  [[nodiscard]] std::uint64_t current_target(std::uint64_t seed) const noexcept {
+    const auto estimate = static_cast<std::int64_t>(bank_->host_estimate(seed));
     const std::int64_t target = estimate + anchor_;
     return target > 0 ? static_cast<std::uint64_t>(target) : 0;
   }

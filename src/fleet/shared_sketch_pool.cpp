@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "support/check.hpp"
+#include "support/inverse_pow2.hpp"
 #include "support/rng.hpp"
 
 namespace worms::fleet {
@@ -43,6 +44,10 @@ struct SliceGeometry {
   std::uint32_t base;
   std::uint32_t step;
   std::uint64_t value_seed;
+
+  [[nodiscard]] std::uint32_t index(std::uint32_t j, std::uint32_t mask) const noexcept {
+    return (base + j * step) & mask;
+  }
 };
 
 SliceGeometry slice_geometry(std::uint64_t slice_seed, std::uint32_t mask) noexcept {
@@ -53,12 +58,15 @@ SliceGeometry slice_geometry(std::uint64_t slice_seed, std::uint32_t mask) noexc
           (static_cast<std::uint32_t>(a >> 32) | 1u), b};
 }
 
+/// Largest register rank a bank stores.
+constexpr unsigned kMaxRank = 33;
+
 /// Register rank of one hashed value: leading-zero count of the low 32 hash
-/// bits, 1-based; 33 for an all-zero remainder.  32 bits of rank entropy caps
-/// the per-register scale around 2^32 — far beyond any per-host cardinality
-/// the containment policy cares about.
+/// bits, 1-based; kMaxRank for an all-zero remainder.  32 bits of rank
+/// entropy caps the per-register scale around 2^32 — far beyond any per-host
+/// cardinality the containment policy cares about.
 std::uint8_t rank_of(std::uint32_t bits) noexcept {
-  return bits == 0 ? 33 : static_cast<std::uint8_t>(std::countl_zero(bits) + 1);
+  return bits == 0 ? kMaxRank : static_cast<std::uint8_t>(std::countl_zero(bits) + 1);
 }
 
 }  // namespace
@@ -99,26 +107,40 @@ void SketchBank::add(std::uint64_t slice_seed, std::uint64_t value) noexcept {
   // Multiply-shift range reduction of the high hash bits picks the virtual
   // register; the low bits supply the rank.
   const auto j = static_cast<std::uint32_t>(((h >> 32) * slice_width_) >> 32);
-  const std::uint32_t idx = (geo.base + j * geo.step) & mask_;
   const std::uint8_t rank = rank_of(static_cast<std::uint32_t>(h));
-  std::uint8_t& reg = registers_[idx];
+  std::uint8_t& reg = registers_[geo.index(j, mask_)];
   if (rank <= reg) return;
-  inverse_sum_ +=
-      std::ldexp(1.0, -static_cast<int>(rank)) - std::ldexp(1.0, -static_cast<int>(reg));
+  inverse_sum_ += support::kInversePow2[rank] - support::kInversePow2[reg];
   if (reg == 0) --zero_registers_;
   reg = rank;
+  ++version_;
+}
+
+std::uint32_t SketchBank::slice_register(std::uint64_t slice_seed,
+                                         std::uint32_t j) const noexcept {
+  return slice_geometry(slice_seed, mask_).index(j, mask_);
+}
+
+SketchBank::SliceSum SketchBank::slice_sum(std::uint64_t slice_seed) const noexcept {
+  // Exact in integers: each term 2^-r (r <= kMaxRank) is 2^(kMaxRank - r)
+  // units of 2^-kMaxRank, and s <= 4096 terms of at most 2^33 units total at
+  // most 2^45, so the sum converts to double and rescales without rounding.  A double accumulation of the same terms is exact too (every
+  // partial sum is a multiple of 2^-33 below 2^12, well inside 53 bits), so
+  // this matches any summation order bit for bit.
+  const SliceGeometry geo = slice_geometry(slice_seed, mask_);
+  std::uint64_t units = 0;
+  std::uint32_t zeros = 0;
+  for (std::uint32_t j = 0; j < slice_width_; ++j) {
+    const std::uint8_t reg = registers_[geo.index(j, mask_)];
+    units += std::uint64_t{1} << (kMaxRank - reg);
+    zeros += reg == 0 ? 1u : 0u;
+  }
+  return {static_cast<double>(units) * support::kInversePow2[kMaxRank], zeros};
 }
 
 double SketchBank::slice_estimate(std::uint64_t slice_seed) const noexcept {
-  const SliceGeometry geo = slice_geometry(slice_seed, mask_);
-  double inverse_sum = 0.0;
-  std::uint64_t zeros = 0;
-  for (std::uint32_t j = 0; j < slice_width_; ++j) {
-    const std::uint8_t reg = registers_[(geo.base + j * geo.step) & mask_];
-    inverse_sum += std::ldexp(1.0, -static_cast<int>(reg));
-    if (reg == 0) ++zeros;
-  }
-  return hll_estimate(slice_width_, inverse_sum, zeros);
+  const SliceSum sum = slice_sum(slice_seed);
+  return hll_estimate(slice_width_, sum.inverse_sum, sum.zero_registers);
 }
 
 double SketchBank::bank_estimate() const noexcept {
@@ -126,11 +148,16 @@ double SketchBank::bank_estimate() const noexcept {
 }
 
 double SketchBank::host_estimate(std::uint64_t slice_seed) const noexcept {
+  // The estimate is a pure function of the bank state (registers and the
+  // incremental sums), and version_ moves on every change to it, so a memo
+  // hit returns exactly what recomputation would.
+  if (memo_.version == version_ && memo_.slice_seed == slice_seed) return memo_.estimate;
   const double m = static_cast<double>(registers_.size());
   const double s = static_cast<double>(slice_width_);
   const double estimate =
       (m * slice_estimate(slice_seed) - s * bank_estimate()) / (m - s);
-  return estimate > 0.0 ? estimate : 0.0;
+  memo_ = {slice_seed, version_, estimate > 0.0 ? estimate : 0.0};
+  return memo_.estimate;
 }
 
 void SketchBank::restore(const std::vector<std::uint8_t>& registers, double inverse_sum,
@@ -140,8 +167,8 @@ void SketchBank::restore(const std::vector<std::uint8_t>& registers, double inve
   double recomputed = 0.0;
   std::uint64_t zeros = 0;
   for (const std::uint8_t r : registers) {
-    WORMS_EXPECTS(r <= 33 && "compact bank register rank out of range");
-    recomputed += std::ldexp(1.0, -static_cast<int>(r));
+    WORMS_EXPECTS(r <= kMaxRank && "compact bank register rank out of range");
+    recomputed += support::kInversePow2[r];
     if (r == 0) ++zeros;
   }
   WORMS_EXPECTS(zeros == zero_registers && "compact bank zero-register count mismatch");
@@ -153,6 +180,7 @@ void SketchBank::restore(const std::vector<std::uint8_t>& registers, double inve
   registers_ = registers;
   inverse_sum_ = inverse_sum;
   zero_registers_ = zero_registers;
+  ++version_;
 }
 
 SketchBank& SharedSketchPool::bank_for(std::uint32_t bank_index) {

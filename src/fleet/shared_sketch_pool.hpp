@@ -68,8 +68,14 @@ struct CompactPoolConfig {
 /// One shared register bank: a flat HLL register file plus the incremental
 /// whole-bank state (inverse power sum, zero count) that makes the bank-level
 /// estimate O(1).  Slice-level estimates recompute over the s slice registers
-/// on demand — deterministic by construction (fixed iteration order, no
-/// incremental float state to drift across checkpoint/restore).
+/// on demand in exact integer arithmetic — deterministic by construction (no
+/// incremental float state to drift across checkpoint/restore).  A version
+/// counter, bumped on every register raise and on restore(), keys a
+/// one-entry memo of the last host estimate, so a host whose add() raised
+/// nothing in the bank since its last estimate skips the slice rescan.
+///
+/// Not thread-safe, const members included (host_estimate() writes the
+/// memo): a bank belongs to the one shard worker that owns its hosts.
 class SketchBank {
  public:
   SketchBank(std::uint32_t bank_index, const CompactPoolConfig& config);
@@ -77,13 +83,26 @@ class SketchBank {
   /// Observes `value` into the slice addressed by `slice_seed`.
   void add(std::uint64_t slice_seed, std::uint64_t value) noexcept;
 
+  /// Bank register index of virtual register `j` (< s) of a slice.
+  [[nodiscard]] std::uint32_t slice_register(std::uint64_t slice_seed,
+                                             std::uint32_t j) const noexcept;
+
+  /// Σ 2^-reg and the zero count over one slice's s registers — the inputs
+  /// of E_v.  The sum is exact, hence independent of summation order.
+  struct SliceSum {
+    double inverse_sum;
+    std::uint32_t zero_registers;
+  };
+  [[nodiscard]] SliceSum slice_sum(std::uint64_t slice_seed) const noexcept;
+
   /// HLL estimate over one host's s slice registers (E_v).
   [[nodiscard]] double slice_estimate(std::uint64_t slice_seed) const noexcept;
 
   /// HLL estimate over the whole bank (E_b); O(1).
   [[nodiscard]] double bank_estimate() const noexcept;
 
-  /// Noise-cancelled per-host estimate n̂ (clamped at 0).
+  /// Noise-cancelled per-host estimate n̂ (clamped at 0).  Memoized for the
+  /// last slice asked about until the registers next change.
   [[nodiscard]] double host_estimate(std::uint64_t slice_seed) const noexcept;
 
   /// Live-counter accounting for amortized memory attribution.
@@ -123,6 +142,13 @@ class SketchBank {
   double inverse_sum_;                     ///< Σ 2^-reg over the whole bank
   std::uint64_t zero_registers_;           ///< bank registers still at 0
   std::uint32_t attached_hosts_ = 0;
+  std::uint64_t version_ = 1;              ///< bumped on every state change
+  struct Memo {
+    std::uint64_t slice_seed = 0;
+    std::uint64_t version = 0;             ///< 0 never matches: starts empty
+    double estimate = 0.0;
+  };
+  mutable Memo memo_;                      ///< last host_estimate() result
 };
 
 /// The per-shard pool: banks created lazily as hosts appear, keyed by bank

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "support/check.hpp"
+#include "support/inverse_pow2.hpp"
 #include "support/rng.hpp"
 
 namespace worms::trace {
@@ -40,7 +41,7 @@ void HyperLogLog::apply_register(std::size_t idx, std::uint8_t rank) noexcept {
   // Both terms are exact powers of two, so the only rounding is the final
   // accumulation — the incremental sum tracks the full recomputation to
   // within one ulp per update.
-  inverse_sum_ += std::ldexp(1.0, -static_cast<int>(rank)) - std::ldexp(1.0, -static_cast<int>(old));
+  inverse_sum_ += support::kInversePow2[rank] - support::kInversePow2[old];
   if (old == 0) --zero_registers_;
 }
 
@@ -83,7 +84,7 @@ HyperLogLog HyperLogLog::restore(int precision, std::vector<std::uint8_t> regist
   std::size_t zeros = 0;
   for (const std::uint8_t r : registers) {
     WORMS_EXPECTS(r <= max_rank);
-    recomputed += std::ldexp(1.0, -static_cast<int>(r));
+    recomputed += support::kInversePow2[r];
     if (r == 0) ++zeros;
   }
   WORMS_EXPECTS(zeros == zero_registers);

@@ -11,6 +11,9 @@
 //     the accuracy frontier: clear worms are removed by all backends, clearly
 //     benign hosts by none, and each backend's verdicts are shard-count
 //     invariant (the compact backend bit-identically, via bank colocation).
+//   * The compact hot path's shortcuts are exact: the integer slice sum
+//     matches a std::ldexp loop bit for bit, and a bank's memoized host
+//     estimate matches a cold bank's.
 //
 // Every randomized case logs its seed so a failure reproduces directly.
 #include "fleet/distinct_counter.hpp"
@@ -20,6 +23,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <span>
@@ -30,6 +34,7 @@
 #include "fleet/shared_sketch_pool.hpp"
 #include "net/address_table.hpp"
 #include "sim/time.hpp"
+#include "support/inverse_pow2.hpp"
 #include "trace/record.hpp"
 #include "trace/synth.hpp"
 
@@ -311,6 +316,136 @@ TEST(CounterProperty, CompactMemoryIsAmortizedAcrossAttachedHosts) {
   EXPECT_EQ(first.memory_bytes(), second.memory_bytes());
   EXPECT_LT(first.memory_bytes(), solo) << "a second host must share the bank's bytes";
   EXPECT_EQ(first.memory_bytes() - sizeof(CompactCounter), bank.memory_bytes() / 2);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(CounterProperty, InversePow2TableMatchesLdexp) {
+  for (int r = 0; r < static_cast<int>(support::kInversePow2.size()); ++r) {
+    EXPECT_TRUE(same_bits(support::kInversePow2[r], std::ldexp(1.0, -r))) << "r=" << r;
+  }
+}
+
+/// The slice sum as it was first written: 2^-r accumulated one register at a
+/// time in slice order, each term from std::ldexp.
+double sequential_ldexp_slice_sum(const SketchBank& bank, std::uint64_t slice_seed,
+                                  std::uint32_t width) {
+  double sum = 0.0;
+  for (std::uint32_t j = 0; j < width; ++j) {
+    const std::uint8_t reg = bank.registers()[bank.slice_register(slice_seed, j)];
+    sum += std::ldexp(1.0, -static_cast<int>(reg));
+  }
+  return sum;
+}
+
+TEST(CounterProperty, CompactSliceSumIsExact) {
+  // Register files: uniform ranks over [0, 33] (both extremes common), the
+  // geometric ranks real traffic leaves, all zero (the largest sum, 2^45
+  // units at s = 4096) and all 33 (the smallest terms); every random file
+  // also gets one slice zeroed out.
+  enum class Fill { Uniform, Geometric, AllZero, AllMax };
+  for (const std::uint32_t width : {8u, 128u, 4096u}) {
+    CompactPoolConfig config;
+    config.bits_per_host = 64;  // 8192-register banks: room for m >= 2·4096
+    config.virtual_registers = width;
+    for (const std::uint64_t seed : kSeeds) {
+      for (const Fill fill : {Fill::Uniform, Fill::Geometric, Fill::AllZero, Fill::AllMax}) {
+        SCOPED_TRACE(::testing::Message() << "s=" << width << " fill=" << static_cast<int>(fill)
+                                          << " seed=0x" << std::hex << seed);
+        std::mt19937_64 rng(seed);
+        SketchBank bank(0, config);
+        std::vector<std::uint8_t> registers(bank.register_count());
+        std::geometric_distribution<int> geometric(0.5);
+        for (std::uint8_t& reg : registers) {
+          switch (fill) {
+            case Fill::Uniform: reg = static_cast<std::uint8_t>(rng() % 34); break;
+            case Fill::Geometric: reg = static_cast<std::uint8_t>(std::min(geometric(rng), 33)); break;
+            case Fill::AllZero: reg = 0; break;
+            case Fill::AllMax: reg = 33; break;
+          }
+        }
+        const std::uint64_t zeroed_slice = rng();
+        if (fill != Fill::AllMax) {
+          for (std::uint32_t j = 0; j < width; ++j) {
+            registers[bank.slice_register(zeroed_slice, j)] = 0;
+          }
+        }
+        double inverse_sum = 0.0;
+        for (const std::uint8_t reg : registers) inverse_sum += std::ldexp(1.0, -reg);
+        const auto zeros = static_cast<std::uint64_t>(
+            std::count(registers.begin(), registers.end(), std::uint8_t{0}));
+        bank.restore(registers, inverse_sum, zeros);
+
+        for (int k = 0; k < 64; ++k) {
+          const std::uint64_t slice = k == 0 ? zeroed_slice : rng();
+          const SketchBank::SliceSum got = bank.slice_sum(slice);
+          const double want = sequential_ldexp_slice_sum(bank, slice, width);
+          ASSERT_TRUE(same_bits(got.inverse_sum, want))
+              << "slice " << k << ": integer sum " << got.inverse_sum << " vs ldexp " << want;
+          std::uint32_t want_zeros = 0;
+          for (std::uint32_t j = 0; j < width; ++j) {
+            want_zeros += registers[bank.slice_register(slice, j)] == 0 ? 1u : 0u;
+          }
+          ASSERT_EQ(got.zero_registers, want_zeros) << "slice " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(CounterProperty, CompactMemoMatchesColdBank) {
+  // SketchBank memoizes its last host estimate on (slice seed, bank version).
+  // After every add, each host's estimate on the live bank must match, bit
+  // for bit, a bank restored from the same registers — whose memo is cold, so
+  // it recomputes everything.  Runs of adds by one host over a small key pool
+  // make register-neutral adds (the memo-hit case) common; resets move hosts
+  // onto fresh slices mid-run.  A second bank, restored in place every step,
+  // checks that restore() drops a warm memo.
+  constexpr std::uint32_t kBank = 5;
+  constexpr std::uint32_t kHosts = 24;
+  for (const std::uint64_t seed : kSeeds) {
+    SCOPED_TRACE(::testing::Message() << "seed=0x" << std::hex << seed);
+    std::mt19937_64 rng(seed);
+    const CompactPoolConfig config;
+    SharedSketchPool pool(config);
+    SketchBank& bank = pool.bank_for(kBank);
+    std::vector<std::unique_ptr<CompactCounter>> counters;
+    for (std::uint32_t k = 0; k < kHosts; ++k) {
+      counters.push_back(std::make_unique<CompactCounter>(bank, kBank + k * kCompactBanks));
+    }
+    const auto slice_of = [&](std::uint32_t k) {
+      return compact_slice_seed(kBank + k * kCompactBanks, counters[k]->epoch());
+    };
+
+    SketchBank reused(kBank, config);
+    std::uint32_t host = 0;
+    for (int step = 0; step < 3'000; ++step) {
+      if (rng() % 3 == 0) host = static_cast<std::uint32_t>(rng() % kHosts);
+      if (rng() % 200 == 0) {
+        counters[host]->reset();
+      } else {
+        (void)counters[host]->add(host * 7'919u + static_cast<std::uint32_t>(rng() % 64));
+      }
+      SketchBank cold(kBank, config);
+      cold.restore(bank.registers(), bank.inverse_sum(), bank.zero_registers());
+      reused.restore(bank.registers(), bank.inverse_sum(), bank.zero_registers());
+
+      // First the acting host: this read returns whatever add() or reset()
+      // just used, memo or not.  Then everyone else, then the acting host
+      // again, so the memo is left on it for its next add.
+      const double acted = bank.host_estimate(slice_of(host));
+      ASSERT_TRUE(same_bits(acted, cold.host_estimate(slice_of(host))))
+          << "step " << step << " host " << host << ": memoized estimate is stale";
+      ASSERT_TRUE(same_bits(reused.host_estimate(slice_of(host)), acted))
+          << "step " << step << " host " << host << ": restore() kept a stale memo";
+      for (std::uint32_t k = 0; k < kHosts; ++k) {
+        if (k == host) continue;
+        ASSERT_TRUE(same_bits(bank.host_estimate(slice_of(k)), cold.host_estimate(slice_of(k))))
+            << "step " << step << " host " << k;
+      }
+      ASSERT_TRUE(same_bits(bank.host_estimate(slice_of(host)), acted)) << "step " << step;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
