@@ -36,10 +36,10 @@ ScanDecision ScanCountLimitPolicy::on_scan(net::HostId host, sim::SimTime now,
   }
   ++c.count;
 
-  if (c.count >= config_.scan_limit) return ScanDecision::allow_and_remove();
-  if (!c.flagged && config_.check_fraction < 1.0 &&
-      static_cast<double>(c.count) >=
-          config_.check_fraction * static_cast<double>(config_.scan_limit)) {
+  const ScanBudgetStep step =
+      scan_budget_step(c.count - 1, c.count, config_.scan_limit, config_.check_fraction);
+  if (step.remove) return ScanDecision::allow_and_remove();
+  if (step.flag && !c.flagged) {
     c.flagged = true;
     flagged_.push_back(host);
   }
@@ -59,18 +59,6 @@ std::string ScanCountLimitPolicy::name() const {
 
 std::unique_ptr<ContainmentPolicy> ScanCountLimitPolicy::clone() const {
   return std::make_unique<ScanCountLimitPolicy>(config_);
-}
-
-void ScanCountLimitPolicy::restore_counter(net::HostId host, std::uint64_t cycle,
-                                           std::uint64_t count, bool flagged) {
-  WORMS_EXPECTS(config_.counting == CountingMode::Attempts);
-  if (host >= counters_.size()) counters_.resize(static_cast<std::size_t>(host) + 1);
-  HostCounter& c = counters_[host];
-  c.count = count;
-  c.cycle = cycle;
-  c.flagged = flagged;
-  c.seen.clear();
-  if (flagged) flagged_.push_back(host);
 }
 
 std::uint64_t ScanCountLimitPolicy::count_of(net::HostId host) const {

@@ -13,6 +13,7 @@
 // makes.  The trace analyzer (worms::trace) always counts exact distinct.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
@@ -20,6 +21,32 @@
 #include "core/containment_policy.hpp"
 
 namespace worms::core {
+
+/// What charging a host its counted scans prev+1, ..., tally decides.
+struct ScanBudgetStep {
+  bool flag = false;    ///< some unit below M reached f·M
+  bool remove = false;  ///< some unit reached M
+};
+
+/// The paper's budget rule (steps 3–4) in closed form: the outcome of
+/// charging the units prev+1, ..., tally one at a time, where the first unit
+/// ≥ M removes the host and any unit ≥ f·M before it flags it (f = 1 turns
+/// flagging off).  `flag` reports that such a unit exists; whether it is a
+/// *new* flag is the caller's in-cycle state.  A jump of an approximate
+/// counter across both thresholds therefore flags and removes in one step,
+/// and a unit that reaches f·M and M at once removes without a flag.
+[[nodiscard]] constexpr ScanBudgetStep scan_budget_step(std::uint64_t prev, std::uint64_t tally,
+                                                        std::uint64_t scan_limit,
+                                                        double check_fraction) noexcept {
+  if (tally <= prev) return {};
+  // The last unit that does not remove; a flag needs one of prev+1..below
+  // at f·M, and units are increasing, so testing `below` suffices.
+  const std::uint64_t below = std::min(tally, scan_limit - 1);
+  return {.flag = check_fraction < 1.0 && below > prev &&
+                  static_cast<double>(below) >=
+                      check_fraction * static_cast<double>(scan_limit),
+          .remove = tally >= scan_limit};
+}
 
 class ScanCountLimitPolicy final : public ContainmentPolicy {
  public:
@@ -43,13 +70,6 @@ class ScanCountLimitPolicy final : public ContainmentPolicy {
 
   /// Current counter for a host (0 if never seen).
   [[nodiscard]] std::uint64_t count_of(net::HostId host) const;
-
-  /// Reinstates a host's in-cycle counter exactly as a previous run left it —
-  /// the checkpoint-restore hook used by the fleet pipeline.  `cycle` is the
-  /// containment-cycle index the count belongs to; a later on_scan in a newer
-  /// cycle still resets as usual.  Attempts mode only (the exact-distinct
-  /// `seen` set is not restored).
-  void restore_counter(net::HostId host, std::uint64_t cycle, std::uint64_t count, bool flagged);
 
   /// Hosts that crossed f·M and await a full check (paper's adaptive step).
   [[nodiscard]] const std::vector<net::HostId>& flagged_hosts() const noexcept {

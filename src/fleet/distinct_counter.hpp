@@ -18,17 +18,16 @@
 //     register file, with cross-host noise cancelled by the pool's
 //     bank-level estimate.  The tens-of-millions-of-hosts shape.
 //
-// add() returns how many new distinct units the observation contributed so
-// the shard worker can forward exactly that many counted scans into
-// core::ScanCountLimitPolicy — the policy never needs to know which backend
-// produced the increments.
+// add() returns how many new distinct units the observation contributed and
+// count() the running tally; the shard worker applies the budget rule
+// (core::scan_budget_step) to the tally's step, so the rule never needs to
+// know which backend produced the increments.
 //
 // All backends are checkpointable (the fault-tolerance layer serializes
 // their full state) and degrade one rung at a time — exact → HLL → compact —
 // each switch carrying the tally forward as the new baseline so a host's
 // spent budget is neither refunded nor double-charged at the instant of the
-// switch.  The overload ladder walks the same rungs as its memory relief
-// valve.
+// switch.  A fault plan's degrade clauses walk the rungs.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +85,12 @@ class ExactCounter final : public DistinctCounter {
   /// The underlying set — checkpoint serialization and exact→HLL degradation.
   [[nodiscard]] const worms::net::AddressTable& table() const noexcept { return seen_; }
 
+  /// Prefetches the set slot add(destination) will probe first (always
+  /// inlined, like the table prefetches it wraps).
+  [[gnu::always_inline]] void prefetch(std::uint32_t destination) const noexcept {
+    seen_.prefetch(worms::net::Ipv4Address(destination));
+  }
+
  private:
   worms::net::AddressTable seen_{16};
 };
@@ -102,7 +107,7 @@ class HllCounter final : public DistinctCounter {
   HllCounter(trace::HyperLogLog sketch, std::uint64_t reported)
       : sketch_(std::move(sketch)), precision_(sketch_.precision()), reported_(reported) {}
 
-  /// Overload degradation: absorb an exact counter's set, carrying its exact
+  /// Degradation: absorb an exact counter's set, carrying its exact
   /// tally forward as the reported baseline so the host's spent budget is
   /// neither refunded nor double-charged by the switch.
   HllCounter(int precision, const worms::net::AddressTable& seen, std::uint64_t reported)

@@ -73,7 +73,9 @@ class HostTable {
 
   /// Issues a prefetch for `key`'s slot cache line.  Call a handful of
   /// records ahead of the matching try_emplace to hide the table miss.
-  void prefetch(std::uint32_t key) const noexcept {
+  /// Always inlined: a prefetch is no side effect to GCC's pure/const
+  /// inference, so an out-of-line call to this can be deleted as dead.
+  [[gnu::always_inline]] void prefetch(std::uint32_t key) const noexcept {
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(&slots_[bucket(key)]);
 #endif

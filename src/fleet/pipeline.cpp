@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_set>
@@ -32,24 +33,48 @@ using Batch = std::vector<trace::ConnRecord>;
 
 constexpr auto kWorkerPollInterval = std::chrono::milliseconds(20);
 
-/// Per-host streaming state owned by exactly one shard worker.
+/// Per-host streaming state owned by exactly one shard worker.  Ordered for
+/// the batch loop: what every record reads comes first, and the verdict —
+/// whose cold tail (timestamps, failure tallies) a record rarely writes —
+/// comes last.
 struct HostState {
-  std::unique_ptr<DistinctCounter> counter;
-  /// Mirrors counter->backend() without the virtual call — the batch loop
-  /// branches on this to reach ExactCounter::add/count through static,
-  /// inlinable dispatch.  Kept in sync at every site that assigns `counter`
-  /// (insert, degrade, snapshot restore); it cannot be derived from the
-  /// shard's effective backend because a resharded restore may place HLL
-  /// hosts under a shard whose effective backend is still Exact.
-  CounterBackend counter_backend = CounterBackend::Exact;
+  /// The exact counter (the default backend), held inline so the batch loop
+  /// reaches the destination set's slots in one hop from the host entry.
+  /// Empty exactly when `approx` holds the host's HLL or compact counter;
+  /// every site that places a counter (insert, degrade, snapshot restore)
+  /// fills one and clears the other.  The host's backend cannot be derived
+  /// from the shard's: a resharded restore may place HLL hosts under a shard
+  /// whose effective backend is still Exact.
+  std::optional<ExactCounter> exact;
+  std::unique_ptr<DistinctCounter> approx;
   std::uint64_t cycle = 0;
-  bool cycle_flagged = false;  ///< crossed f·M in the current cycle
-  std::uint64_t cycle_failures = 0;  ///< failed connections in the current cycle
   sim::SimTime last_time = 0.0;
   std::uint32_t last_destination = 0;
   bool has_prev = false;  ///< last_time/last_destination hold a processed record
+  bool cycle_flagged = false;  ///< crossed f·M in the current cycle
+  std::uint64_t cycle_failures = 0;  ///< failed connections in the current cycle
   HostVerdict verdict;
+
+  [[nodiscard]] DistinctCounter& counter() noexcept {
+    return exact ? static_cast<DistinctCounter&>(*exact) : *approx;
+  }
+  [[nodiscard]] const DistinctCounter& counter() const noexcept {
+    return exact ? static_cast<const DistinctCounter&>(*exact) : *approx;
+  }
 };
+
+/// Prefetches every cache line of the bytes [begin, end).
+[[gnu::always_inline]] inline void prefetch_lines(const void* begin, const void* end) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  const auto* first = static_cast<const char*>(begin);
+  const auto* last = static_cast<const char*>(end) - 1;
+  for (const char* c = first; c < last; c += 64) __builtin_prefetch(c);
+  __builtin_prefetch(last);
+#else
+  (void)begin;
+  (void)end;
+#endif
+}
 
 /// Quiesce barrier: one gate shared by a control task pushed to every shard
 /// queue.  FIFO order means a worker arriving at the gate has fully processed
@@ -110,16 +135,13 @@ std::vector<std::uint32_t> ContainmentVerdicts::removed_hosts() const {
 
 /// What travels over a shard queue: a record batch (with per-record stream
 /// indices for line-accurate dead-letter diagnostics), or a control task — a
-/// quiesce gate or a degrade-to-HLL order from the overload monitor.
+/// quiesce gate or a pre-containment order.
 struct ContainmentPipeline::ShardTask {
   Batch records;
   std::vector<std::uint64_t> indices;  ///< parallel to records: feed order
   std::shared_ptr<Gate> gate;
-  /// One-rung backend degrade order (exact→HLL→compact) from the overload
-  /// monitor.
-  bool degrade_backend = false;
   /// Hosts to administratively remove (fleet alert gossip) — a control task,
-  /// FIFO-ordered against record batches like the gate and degrade tasks.
+  /// FIFO-ordered against record batches like the gate.
   std::vector<std::uint32_t> pre_contain;
 };
 
@@ -131,9 +153,9 @@ struct ContainmentPipeline::Monitor {
   unsigned cool = 0;      ///< consecutive samples below both
 };
 
-/// One shard: a queue, the per-host states of `host % shards == index`, and a
-/// single Attempts-mode ScanCountLimitPolicy those states drive.  Host state
-/// is touched only by the shard's worker thread (and by the ingest thread
+/// One shard: a queue and the per-host states of the hosts routed to it,
+/// each carrying its own distinct counter and in-cycle budget state.  Host
+/// state is touched only by the shard's worker thread (and by the ingest thread
 /// after a quiesce gate or the final join — both synchronization points);
 /// `removed` is the one shared structure, guarded by its mutex, so shedding
 /// can consult it from the ingest side.
@@ -192,18 +214,11 @@ struct ContainmentPipeline::Shard {
 
   explicit Shard(const PipelineOptions& config)
       : queue(config.transport, config.queue_capacity),
-        policy({.scan_limit = config.policy.scan_limit,
-                .cycle_length = config.policy.cycle_length,
-                .check_fraction = config.policy.check_fraction,
-                .counting = core::ScanCountLimitPolicy::CountingMode::Attempts}),
         effective_backend(config.backend),
         published_backend(static_cast<std::uint8_t>(config.backend)),
         hll_precision(config.hll_precision),
-        flag_threshold(config.policy.check_fraction < 1.0
-                           ? config.policy.check_fraction *
-                                 static_cast<double>(config.policy.scan_limit)
-                           : 0.0),
-        flagging_enabled(config.policy.check_fraction < 1.0),
+        scan_limit(config.policy.scan_limit),
+        check_fraction(config.policy.check_fraction),
         cycle_length(config.policy.cycle_length),
         pool(config.compact),
         failure_budget(config.failure_budget) {}
@@ -234,10 +249,6 @@ struct ContainmentPipeline::Shard {
         task->gate->arrive();
         continue;
       }
-      if (task->degrade_backend) {
-        degrade();
-        continue;
-      }
       if (!task->pre_contain.empty()) {
         for (const std::uint32_t host : task->pre_contain) apply_pre_containment(host);
         continue;
@@ -246,20 +257,17 @@ struct ContainmentPipeline::Shard {
         WORMS_TRACE_SPAN(task->records.empty() ? nullptr : trace, "shard_batch");
         const support::Stopwatch batch_watch;
         try {
-          // Prefetch the host-table slot a few records ahead: for big fleets
-          // the table lookup is the batch loop's dominant cache miss, and the
-          // lookahead hides it behind the current record's policy work.  When
-          // the table still fits in L2 the prefetch is pure per-record
-          // overhead (hash + issue slot), so it only switches on once the
+          // For big fleets each record's work is a chain of dependent misses
+          // (host slot → host entry → destination-set slot), so the loop
+          // walks that chain for records further ahead, one link per stage.
+          // When the table still fits in L2 the lookahead is pure per-record
+          // overhead (hashes + issue slots), so it only switches on once the
           // table outgrows cache residency.
-          constexpr std::size_t kPrefetchAhead = 8;
           constexpr std::size_t kPrefetchMinSlots = std::size_t{1} << 15;  // 256 KiB of slots
           const std::size_t n = task->records.size();
           if (hosts.capacity() >= kPrefetchMinSlots) {
             for (std::size_t i = 0; i < n; ++i) {
-              if (i + kPrefetchAhead < n) {
-                hosts.prefetch(task->records[i + kPrefetchAhead].source_host);
-              }
+              prefetch_ahead(task->records, i);
               process(task->records[i], task->indices[i], dead_letters);
             }
           } else {
@@ -307,14 +315,41 @@ struct ContainmentPipeline::Shard {
     }
   }
 
+  /// The batch loop's staged lookahead, run before processing record i.
+  /// Each stage reads only lines the stage before it pulled in for the same
+  /// record: the host slot kSlotAhead records out, then (kEntryAhead out)
+  /// the host entry that slot names, then (kSetAhead out) the destination-
+  /// set slot that entry's exact counter will probe.  A host the table does
+  /// not hold yet (its first record) has nothing to pull in and is skipped.
+  /// Always inlined, like the table prefetches it calls: a prefetch is no
+  /// side effect to GCC's pure/const inference, so an out-of-line call to
+  /// this would be deleted as dead.
+  [[gnu::always_inline]] void prefetch_ahead(const Batch& records,
+                                             std::size_t i) const noexcept {
+    constexpr std::size_t kSlotAhead = 12;
+    constexpr std::size_t kEntryAhead = 8;
+    constexpr std::size_t kSetAhead = 4;
+    const std::size_t n = records.size();
+    if (i + kSlotAhead < n) hosts.prefetch(records[i + kSlotAhead].source_host);
+    if (i + kEntryAhead < n) {
+      if (const HostState* h = hosts.find(records[i + kEntryAhead].source_host)) {
+        prefetch_lines(h, &h->verdict.flag_time);  // all but the verdict's cold tail
+      }
+    }
+    if (i + kSetAhead < n) {
+      const trace::ConnRecord& r = records[i + kSetAhead];
+      const HostState* h = hosts.find(r.source_host);
+      if (h != nullptr && h->exact) h->exact->prefetch(r.destination.value());
+    }
+  }
+
   void process(const trace::ConnRecord& r, std::uint64_t stream_index,
                DeadLetterChannel& dead_letters) {
     last_stream_index = stream_index;
     auto [it, inserted] = hosts.try_emplace(r.source_host);
     HostState& h = it->second;
     if (inserted) {
-      h.counter = make_counter(r.source_host);
-      h.counter_backend = effective_backend;
+      place_counter(h, r.source_host);
       h.verdict.host = r.source_host;
       h.cycle = cycle_index(r.timestamp);
     }
@@ -348,10 +383,8 @@ struct ContainmentPipeline::Shard {
 
     const std::uint64_t cycle = cycle_index(r.timestamp);
     if (cycle != h.cycle) {
-      // Containment-cycle boundary: both the backend state and the policy's
-      // internal count restart (the policy resets itself on its next
-      // on_scan; the counter is ours to reset).
-      h.counter->reset();
+      // Containment-cycle boundary: the counter and the in-cycle flag restart.
+      h.counter().reset();
       h.cycle = cycle;
       h.cycle_flagged = false;
       h.cycle_failures = 0;
@@ -374,47 +407,41 @@ struct ContainmentPipeline::Shard {
     // per record — worth ~10% of the shard worker's per-record budget.
     std::uint32_t new_distinct;
     std::uint64_t tally;
-    if (h.counter_backend == CounterBackend::Exact) {
-      auto& exact = static_cast<ExactCounter&>(*h.counter);
-      new_distinct = exact.add(r.destination.value());
-      tally = exact.count();
+    if (h.exact) {
+      new_distinct = h.exact->add(r.destination.value());
+      tally = h.exact->count();
     } else {
-      new_distinct = h.counter->add(r.destination.value());
-      tally = h.counter->count();
+      new_distinct = h.approx->add(r.destination.value());
+      tally = h.approx->count();
     }
     if (tally > h.verdict.peak_distinct) {
       h.verdict.peak_distinct = tally;
     }
-    // Forward one counted scan per new distinct destination; the policy
-    // applies the budget M and the flag threshold exactly as it would have
-    // in ExactDistinct mode.
-    for (std::uint32_t i = 0; i < new_distinct; ++i) {
-      const core::ScanDecision d = policy.on_scan(r.source_host, r.timestamp, r.destination);
-      if (d.action == core::ScanAction::Remove ||
-          d.action == core::ScanAction::AllowAndRemove) {
-        h.verdict.removed = true;
-        h.verdict.removal_time = r.timestamp;
-        {
-          std::lock_guard lock(removed_mutex);
-          removed.insert(r.source_host);
-        }
-        if (events != nullptr) {
-          events->emit(obs::EventType::HostRemoved, stream_index, r.source_host, 0);
-        }
-        // Fire the alert hook only for genuine policy removals: restored and
-        // pre-contained verdicts never re-announce, so gossip cannot echo.
-        if (on_removal != nullptr && *on_removal) {
-          (*on_removal)(r.source_host, r.timestamp);
-        }
-        break;
+    // The budget rule over this record's new distinct units, applied in one
+    // step to the tally: flag at f·M, remove at M (paper steps 3–4).
+    const core::ScanBudgetStep step =
+        core::scan_budget_step(tally - new_distinct, tally, scan_limit, check_fraction);
+    if (step.flag && !h.cycle_flagged) {
+      h.cycle_flagged = true;
+      if (!h.verdict.flagged) {
+        h.verdict.flagged = true;
+        h.verdict.flag_time = r.timestamp;
       }
-      if (flagging_enabled && !h.cycle_flagged &&
-          static_cast<double>(policy.count_of(r.source_host)) >= flag_threshold) {
-        h.cycle_flagged = true;
-        if (!h.verdict.flagged) {
-          h.verdict.flagged = true;
-          h.verdict.flag_time = r.timestamp;
-        }
+    }
+    if (step.remove) {
+      h.verdict.removed = true;
+      h.verdict.removal_time = r.timestamp;
+      {
+        std::lock_guard lock(removed_mutex);
+        removed.insert(r.source_host);
+      }
+      if (events != nullptr) {
+        events->emit(obs::EventType::HostRemoved, stream_index, r.source_host, 0);
+      }
+      // Fire the alert hook only for genuine policy removals: restored and
+      // pre-contained verdicts never re-announce, so gossip cannot echo.
+      if (on_removal != nullptr && *on_removal) {
+        (*on_removal)(r.source_host, r.timestamp);
       }
     }
     if (failure_budget > 0 && !h.verdict.removed && h.cycle_failures >= failure_budget) {
@@ -445,8 +472,7 @@ struct ContainmentPipeline::Shard {
     auto [it, inserted] = hosts.try_emplace(id);
     HostState& h = it->second;
     if (inserted) {
-      h.counter = make_counter(id);
-      h.counter_backend = effective_backend;
+      place_counter(h, id);
       h.verdict.host = id;
     }
     if (h.verdict.removed) return;
@@ -459,24 +485,27 @@ struct ContainmentPipeline::Shard {
     removed.insert(id);
   }
 
-  /// Counter factory for this shard: the compact backend binds to the
-  /// shard-owned register pool (bank-colocated routing guarantees the host's
-  /// bank lives here); the others go through the plain factory.
-  [[nodiscard]] std::unique_ptr<DistinctCounter> make_counter(std::uint32_t host) {
-    if (effective_backend == CounterBackend::Compact) {
-      return std::make_unique<CompactCounter>(pool.bank_for(compact_bank_of(host)), host);
+  /// Gives a new host a fresh counter on this shard's backend: exact inline,
+  /// compact bound to the shard-owned register pool (bank-colocated routing
+  /// guarantees the host's bank lives here), HLL through the plain factory.
+  void place_counter(HostState& h, std::uint32_t host) {
+    if (effective_backend == CounterBackend::Exact) {
+      h.exact.emplace();
+    } else if (effective_backend == CounterBackend::Compact) {
+      h.approx = std::make_unique<CompactCounter>(pool.bank_for(compact_bank_of(host)), host);
+    } else {
+      h.approx = make_distinct_counter(effective_backend, hll_precision);
     }
-    return make_distinct_counter(effective_backend, hll_precision);
   }
 
   /// One-way, one-rung backend degrade: exact → HLL → compact.  Each rung
   /// converts this shard's live counters, carrying every tally forward as
   /// the new backend's reported baseline so no host's spent budget is
-  /// refunded or double-charged — the policy invariant count_of(host) ==
-  /// counter->count() is preserved across the switch.  Exact state replays
-  /// into the successor (set contents for HLL, slice registers for compact);
-  /// an HLL sketch cannot be replayed, so HLL→compact is a baseline carry
-  /// over an empty slice (conservative: repeats may charge again).
+  /// refunded or double-charged — the tally the budget rule reads does not
+  /// move at the switch.  Exact state replays into the successor (set
+  /// contents for HLL, slice registers for compact); an HLL sketch cannot be
+  /// replayed, so HLL→compact is a baseline carry over an empty slice
+  /// (conservative: repeats may charge again).
   void degrade() {
     if (effective_backend == CounterBackend::Compact) return;  // bottom rung
     const CounterBackend from = effective_backend;
@@ -493,20 +522,19 @@ struct ContainmentPipeline::Shard {
     for (auto& [id, h] : hosts) {
       if (h.verdict.removed) continue;  // never counted again
       if (effective_backend == CounterBackend::Hll) {
-        if (h.counter_backend == CounterBackend::Exact) {
-          const auto& exact = static_cast<const ExactCounter&>(*h.counter);
-          h.counter = std::make_unique<HllCounter>(hll_precision, exact.table(), exact.count());
-          h.counter_backend = CounterBackend::Hll;
+        if (h.exact) {
+          h.approx = std::make_unique<HllCounter>(hll_precision, h.exact->table(),
+                                                  h.exact->count());
+          h.exact.reset();
         }
       } else {
         SketchBank& bank = pool.bank_for(compact_bank_of(id));
-        if (h.counter_backend == CounterBackend::Exact) {
-          const auto& exact = static_cast<const ExactCounter&>(*h.counter);
-          h.counter = std::make_unique<CompactCounter>(bank, id, exact.table(), exact.count());
-          h.counter_backend = CounterBackend::Compact;
-        } else if (h.counter_backend == CounterBackend::Hll) {
-          h.counter = std::make_unique<CompactCounter>(bank, id, h.counter->count());
-          h.counter_backend = CounterBackend::Compact;
+        if (h.exact) {
+          h.approx = std::make_unique<CompactCounter>(bank, id, h.exact->table(),
+                                                      h.exact->count());
+          h.exact.reset();
+        } else if (h.approx->backend() == CounterBackend::Hll) {
+          h.approx = std::make_unique<CompactCounter>(bank, id, h.approx->count());
         }
       }
     }
@@ -517,15 +545,14 @@ struct ContainmentPipeline::Shard {
   }
 
   Channel queue;
-  core::ScanCountLimitPolicy policy;
   CounterBackend effective_backend;  ///< what newly seen hosts get
   /// Mirror of effective_backend readable from the ingest thread (the status
   /// plane): the worker owns effective_backend and publishes every rung walk
   /// here with a release store.
   std::atomic<std::uint8_t> published_backend;
   const int hll_precision;
-  const double flag_threshold;
-  const bool flagging_enabled;
+  const std::uint64_t scan_limit;  ///< M
+  const double check_fraction;     ///< f
   const sim::SimTime cycle_length;
   /// Shared compact-counter register pool.  Declared before `hosts` so the
   /// counters' raw bank pointers outlive them at destruction (members are
@@ -567,7 +594,6 @@ struct ContainmentPipeline::Shard {
   std::uint64_t batches_done = 0;
 
   std::uint64_t backend_switches_this_run = 0;  ///< degrade rungs walked this run
-  unsigned degrades_sent = 0;  ///< ingest-side: overload degrade tasks queued
   std::atomic<bool> dead{false};   ///< worker returned via fault injection
 
   std::mutex removed_mutex;
@@ -575,6 +601,9 @@ struct ContainmentPipeline::Shard {
 };
 
 void PipelineOptions::validate() const {
+  WORMS_EXPECTS(policy.scan_limit >= 1);
+  WORMS_EXPECTS(policy.cycle_length > 0.0);
+  WORMS_EXPECTS(policy.check_fraction > 0.0 && policy.check_fraction <= 1.0);
   WORMS_EXPECTS(batch_size >= 1);
   compact.validate();  // every shard hosts a pool, whatever the start backend
   WORMS_EXPECTS(queue_capacity >= 1);
@@ -760,7 +789,7 @@ void ContainmentPipeline::feed(const trace::ConnRecord& record) {
   last_routed_ = r;
   has_last_routed_ = true;
   if (pending_[s].size() >= config_.batch_size) {
-    ShardTask task{std::move(pending_[s]), std::move(pending_indices_[s]), nullptr, false};
+    ShardTask task{std::move(pending_[s]), std::move(pending_indices_[s]), nullptr};
     pending_[s] = Batch();
     pending_[s].reserve(config_.batch_size);
     pending_indices_[s] = std::vector<std::uint64_t>();
@@ -830,7 +859,7 @@ void ContainmentPipeline::feed(std::span<const trace::ConnRecord> records) {
       pending_indices_[s].push_back(index);
       last = &r;
       if (pending_[s].size() >= config_.batch_size) {
-        ShardTask task{std::move(pending_[s]), std::move(pending_indices_[s]), nullptr, false};
+        ShardTask task{std::move(pending_[s]), std::move(pending_indices_[s]), nullptr};
         pending_[s] = Batch();
         pending_[s].reserve(config_.batch_size);
         pending_indices_[s] = std::vector<std::uint64_t>();
@@ -970,30 +999,11 @@ void ContainmentPipeline::observe_overload(unsigned shard_index, double fill_fra
   };
   switch (m.health) {
     case ShardHealth::Healthy:
-      if (m.hot >= p.sustain_pushes) {
-        transition(ShardHealth::Degraded);
-        // First ladder rung: a freshly degraded shard steps its counters one
-        // backend down (exact→HLL, or HLL→compact for an HLL-configured run).
-        Shard& shard = *shards_[shard_index];
-        if (p.auto_degrade_backend && config_.backend != CounterBackend::Compact &&
-            shard.degrades_sent == 0) {
-          shard.degrades_sent = 1;
-          push_shard_task(shard_index, ShardTask{{}, {}, nullptr, true},
-                          /*sample_overload=*/false);
-        }
-      }
+      if (m.hot >= p.sustain_pushes) transition(ShardHealth::Degraded);
       break;
     case ShardHealth::Degraded:
       if (m.critical >= p.sustain_pushes) {
         transition(ShardHealth::Shedding);
-        // Second rung: shedding is the last resort, so the shard also takes
-        // the final memory relief step down to the compact pool.
-        Shard& shard = *shards_[shard_index];
-        if (p.auto_degrade_backend && shard.degrades_sent < 2) {
-          shard.degrades_sent = 2;
-          push_shard_task(shard_index, ShardTask{{}, {}, nullptr, true},
-                          /*sample_overload=*/false);
-        }
       } else if (m.cool >= p.sustain_pushes) {
         transition(ShardHealth::Healthy);
       }
@@ -1028,7 +1038,7 @@ void ContainmentPipeline::respawn_dead_workers() {
 void ContainmentPipeline::flush_batches() {
   for (unsigned s = 0; s < config_.shards; ++s) {
     if (pending_[s].empty()) continue;
-    ShardTask task{std::move(pending_[s]), std::move(pending_indices_[s]), nullptr, false};
+    ShardTask task{std::move(pending_[s]), std::move(pending_indices_[s]), nullptr};
     pending_[s] = Batch();
     pending_indices_[s] = std::vector<std::uint64_t>();
     push_shard_task(s, std::move(task), /*sample_overload=*/false);
@@ -1039,7 +1049,7 @@ void ContainmentPipeline::quiesce() {
   flush_batches();
   auto gate = std::make_shared<Gate>(config_.shards);
   for (unsigned s = 0; s < config_.shards; ++s) {
-    push_shard_task(s, ShardTask{{}, {}, gate, false}, /*sample_overload=*/false);
+    push_shard_task(s, ShardTask{{}, {}, gate}, /*sample_overload=*/false);
   }
   // FIFO queues: once every worker has arrived, every record fed before this
   // call has been fully processed.  A fault can kill a worker with the gate
@@ -1229,7 +1239,7 @@ std::string ContainmentPipeline::encode_snapshot() const {
       out.put_u64(h.verdict.failures_seen);
       out.put_u64(h.verdict.peak_failures);
       out.put_u64(h.cycle_failures);
-      encode_counter(out, *h.counter);
+      encode_counter(out, h.counter());
     }
   }
   return out.buffer();
@@ -1297,7 +1307,6 @@ void ContainmentPipeline::decode_snapshot(const std::string& payload) {
       // Restored rungs are state, not transitions — no DegradeStep re-emits.
       shards_[s]->effective_backend = static_cast<CounterBackend>(rung);
       shards_[s]->published_backend.store(rung, std::memory_order_release);
-      shards_[s]->degrades_sent = 2;  // the overload ladder never re-degrades
     }
   }
 
@@ -1345,16 +1354,13 @@ void ContainmentPipeline::decode_snapshot(const std::string& payload) {
     h.verdict.peak_failures = in.get_u64();
     h.cycle_failures = in.get_u64();
     const CompactDecodeContext compact{&shard.pool, id};
-    h.counter = decode_counter(in, &compact);
-    h.counter_backend = h.counter->backend();
-    if (h.verdict.removed) {
-      shard.removed.insert(id);
+    std::unique_ptr<DistinctCounter> counter = decode_counter(in, &compact);
+    if (counter->backend() == CounterBackend::Exact) {
+      h.exact.emplace(std::move(static_cast<ExactCounter&>(*counter)));
     } else {
-      // Non-removed hosts satisfy count_of(host) == counter->count() at any
-      // quiesce point (each new-distinct unit is forwarded 1:1 into the
-      // policy), so policy state reconstructs from counter state.
-      shard.policy.restore_counter(id, h.cycle, h.counter->count(), h.cycle_flagged);
+      h.approx = std::move(counter);
     }
+    if (h.verdict.removed) shard.removed.insert(id);
   }
   WORMS_EXPECTS(in.remaining() == 0 && "trailing bytes in snapshot");
   last_checkpoint_position_ = records_fed_;
@@ -1429,7 +1435,7 @@ PipelineResult ContainmentPipeline::finish() {
     if (shard->kill_fired) ++m.workers_killed;
     m.queue_high_water.push_back(shard->queue.high_water());
     for (const auto& [id, state] : shard->hosts) {
-      m.counter_memory_bytes += state.counter->memory_bytes();
+      m.counter_memory_bytes += state.counter().memory_bytes();
       hosts.push_back(state.verdict);
     }
   }

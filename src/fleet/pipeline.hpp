@@ -47,10 +47,9 @@
 //     duplicate records are routed to a bounded DeadLetterChannel (per-reason
 //     counters, optional spill file) instead of aborting the stream.
 //   * overload degradation — per-shard watermarks walk a ladder
-//     healthy → degraded → shedding under sustained backpressure: degraded
-//     shards may auto-switch exact counters to fixed-memory HLL sketches;
-//     shedding drops only records of already-removed hosts (which the worker
-//     would suppress anyway), never a countable scan.
+//     healthy → degraded → shedding under sustained backpressure; shedding
+//     drops only records of already-removed hosts (which the worker would
+//     suppress anyway), never a countable scan.
 //   * fault injection — a fleet::FaultPlan kills/stalls/degrades workers and
 //     corrupts records at scripted stream positions so every recovery path
 //     above is exercised deterministically by tests.
@@ -103,11 +102,6 @@ struct OverloadPolicy {
   double degrade_watermark = 0.75;  ///< fill fraction that counts as hot
   double shed_watermark = 0.95;     ///< fill fraction that counts as critical
   unsigned sustain_pushes = 8;      ///< consecutive samples before a transition
-  /// Degraded shards convert per-host counters exact→HLL (memory relief).
-  /// Off by default: the switch point depends on queue timing, so enabling it
-  /// trades the pipeline's bit-identical determinism for bounded memory.
-  /// Deterministic degradation is available via FaultPlan's degrade clauses.
-  bool auto_degrade_backend = false;
 };
 
 /// Shard-queue transport.  Spsc is the default: the ingest thread is the
@@ -131,7 +125,7 @@ struct PipelineOptions {
   int hll_precision = 12;      ///< 2^p bytes/host, ~1.04/sqrt(2^p) rel. error
   /// Shared register pool geometry for CounterBackend::Compact (a few bits
   /// per host, DESIGN.md §13).  Ignored by the other backends except as the
-  /// geometry the overload ladder's final rung would degrade into.
+  /// geometry a fault plan's final degrade rung steps down into.
   CompactPoolConfig compact;
   /// Connection-failure containment budget: a host whose *failed* connection
   /// attempts (ConnRecord::outcome) reach this count within one containment
@@ -224,22 +218,24 @@ struct PipelineOptions {
 /// One monitored host's outcome.  Times are trace timestamps (sim::SimTime
 /// seconds), not wall clock.
 struct HostVerdict {
+  // Flags first, packed beside the id, so the fields a shard worker reads on
+  // every record share a cache line and the struct has no padding holes.
   std::uint32_t host = 0;
-  std::uint64_t records_seen = 0;     ///< records processed while the host was up
-  std::uint64_t peak_distinct = 0;    ///< max counter value across cycles
   bool flagged = false;               ///< crossed f·M (only meaningful if f < 1)
-  sim::SimTime flag_time = 0.0;       ///< first crossing
   bool removed = false;               ///< hit M within a cycle
-  sim::SimTime removal_time = 0.0;
   /// Removed by a fleet alert (pre_contain), not by the local policy —
   /// removal_time stays 0: the block is administrative, not a trace event.
   bool pre_contained = false;
+  /// Removal was decided by the failure budget, not the scan-count limit.
+  bool removed_by_failures = false;
+  std::uint64_t records_seen = 0;     ///< records processed while the host was up
+  std::uint64_t peak_distinct = 0;    ///< max counter value across cycles
+  sim::SimTime flag_time = 0.0;       ///< first crossing
+  sim::SimTime removal_time = 0.0;
   // Connection-failure policy accounting (always tallied; enforced only when
   // PipelineOptions::failure_budget > 0).
   std::uint64_t failures_seen = 0;   ///< failed connection records, all cycles
   std::uint64_t peak_failures = 0;   ///< max failures within any one cycle
-  /// Removal was decided by the failure budget, not the scan-count limit.
-  bool removed_by_failures = false;
 
   friend bool operator==(const HostVerdict&, const HostVerdict&) = default;
 };

@@ -33,6 +33,16 @@ class AddressTable {
     return find(addr) != kNotFound;
   }
 
+  /// Issues a prefetch for the cache line holding addr's home slot — a
+  /// caller that knows its next lookups hides their misses behind work.
+  /// Always inlined, like fleet::HostTable::prefetch, so it is never
+  /// deleted as a side-effect-free call.
+  [[gnu::always_inline]] void prefetch(Ipv4Address addr) const noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(&slots_[index_of(addr.value())]);
+#endif
+  }
+
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 

@@ -111,6 +111,94 @@ TEST(ScanLimitPolicy, RejectsBadConfig) {
                support::PreconditionError);
 }
 
+// ---------------------------------------------------------------------------
+// scan_budget_step against its definition, kept here as the reference: charge
+// the units prev+1..tally one at a time, removing at the first unit ≥ M and
+// flagging at a unit ≥ f·M before it.
+
+ScanBudgetStep forward_units(std::uint64_t prev, std::uint64_t tally, std::uint64_t m,
+                             double f) {
+  ScanBudgetStep out;
+  for (std::uint64_t unit = prev + 1; unit <= tally; ++unit) {
+    if (unit >= m) {
+      out.remove = true;
+      break;
+    }
+    if (f < 1.0 && static_cast<double>(unit) >= f * static_cast<double>(m)) out.flag = true;
+  }
+  return out;
+}
+
+void expect_step(std::uint64_t prev, std::uint64_t tally, std::uint64_t m, double f) {
+  const ScanBudgetStep want = forward_units(prev, tally, m, f);
+  const ScanBudgetStep got = scan_budget_step(prev, tally, m, f);
+  EXPECT_EQ(got.flag, want.flag) << "prev " << prev << " tally " << tally << " M " << m
+                                 << " f " << f;
+  EXPECT_EQ(got.remove, want.remove) << "prev " << prev << " tally " << tally << " M " << m
+                                     << " f " << f;
+}
+
+TEST(ScanBudgetStep, MatchesPerUnitForwardingExhaustively) {
+  // Every (prev, tally) pair up to past M: deltas 0 and 1, jumps that cross
+  // f·M, M or both in one add, and prev already at or past M.
+  for (const std::uint64_t m : {1u, 2u, 3u, 7u, 10u, 20u, 33u}) {
+    for (const double f : {0.05, 0.3, 1.0 / 3.0, 0.5, 0.7, 0.95, 0.99, 1.0}) {
+      for (std::uint64_t prev = 0; prev <= m + 3; ++prev) {
+        for (std::uint64_t tally = prev; tally <= m + 6; ++tally) expect_step(prev, tally, m, f);
+      }
+    }
+  }
+}
+
+TEST(ScanBudgetStep, NamedCases) {
+  // Delta 0 decides nothing, even at or past both thresholds.
+  EXPECT_FALSE(scan_budget_step(7, 7, 10, 0.5).flag);
+  EXPECT_FALSE(scan_budget_step(12, 12, 10, 0.5).remove);
+  // Delta 1 onto f·M flags; onto M removes without flagging.
+  EXPECT_TRUE(scan_budget_step(4, 5, 10, 0.5).flag);
+  EXPECT_FALSE(scan_budget_step(4, 5, 10, 0.5).remove);
+  EXPECT_TRUE(scan_budget_step(9, 10, 10, 0.5).remove);
+  EXPECT_FALSE(scan_budget_step(9, 10, 10, 0.5).flag);
+  // An approximate counter's jump across f·M and M in one add does both.
+  const ScanBudgetStep both = scan_budget_step(2, 40, 10, 0.5);
+  EXPECT_TRUE(both.flag);
+  EXPECT_TRUE(both.remove);
+  // Non-integer f·M = 2.1: unit 2 is below it, unit 3 flags.
+  EXPECT_FALSE(scan_budget_step(1, 2, 7, 0.3).flag);
+  EXPECT_TRUE(scan_budget_step(2, 3, 7, 0.3).flag);
+  // ceil(f·M) = M (f·M = 9.5, M = 10): no unit below M reaches f·M, so even
+  // a jump from 0 removes without a flag.
+  EXPECT_FALSE(scan_budget_step(0, 10, 10, 0.95).flag);
+  EXPECT_TRUE(scan_budget_step(0, 10, 10, 0.95).remove);
+  EXPECT_FALSE(scan_budget_step(8, 9, 10, 0.95).flag);
+  // f = 1 turns flagging off.
+  EXPECT_FALSE(scan_budget_step(0, 9, 10, 1.0).flag);
+  EXPECT_TRUE(scan_budget_step(0, 10, 10, 1.0).remove);
+  // prev ≥ M (a tally that already spent the budget): the next unit removes.
+  EXPECT_TRUE(scan_budget_step(10, 11, 10, 0.5).remove);
+  EXPECT_FALSE(scan_budget_step(10, 11, 10, 0.5).flag);
+  // M = 1: the first unit removes.
+  EXPECT_TRUE(scan_budget_step(0, 1, 1, 0.5).remove);
+  EXPECT_FALSE(scan_budget_step(0, 1, 1, 0.5).flag);
+}
+
+TEST(ScanBudgetStep, MatchesPerUnitForwardingNearLargeThresholds) {
+  // Budgets too large to sweep: windows around f·M and M, with short jumps.
+  // Past 2^53 a double cannot tell M − 1 from M, so f = 1 must still mean
+  // "never flag" rather than "flag just below M".
+  for (const std::uint64_t m : {std::uint64_t{10'000}, std::uint64_t{1'000'003},
+                                std::uint64_t{4'000'000'000}, std::uint64_t{1} << 60}) {
+    for (const double f : {0.5, 0.37, 0.999, 1.0}) {
+      const auto flag_at = static_cast<std::uint64_t>(f * static_cast<double>(m));
+      for (const std::uint64_t centre : {flag_at, m}) {
+        for (std::uint64_t prev = centre - 4; prev <= centre + 4; ++prev) {
+          for (std::uint64_t delta = 0; delta <= 9; ++delta) expect_step(prev, prev + delta, m, f);
+        }
+      }
+    }
+  }
+}
+
 TEST(NullPolicy, AlwaysAllows) {
   NullPolicy policy;
   for (std::uint32_t i = 0; i < 1000; ++i) {

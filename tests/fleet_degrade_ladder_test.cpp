@@ -1,6 +1,6 @@
 // The counter degrade ladder, walked end to end: exact → HLL → compact, one
-// rung per degrade event, driven both by a scripted FaultPlan and by the
-// overload ladder's Healthy → Degraded → Shedding transitions.  The
+// rung per scripted FaultPlan degrade event, next to the overload ladder's
+// Healthy → Degraded → Shedding health transitions.  The
 // load-bearing invariant at every switch is tally carry — a host's spent
 // distinct budget is neither refunded nor double-charged at the instant its
 // counter changes representation — plus the connection-failure policy's
@@ -171,28 +171,22 @@ TEST(FleetDegradeLadder, NoBudgetRefundAcrossFaultPlanSwitches) {
 }
 
 // ---------------------------------------------------------------------------
-// The overload ladder drives the same rungs.
+// The overload ladder walks shard health only; counter rungs are walked by
+// scripted degrade clauses, so queue timing never changes a count.
 
 TEST(FleetDegradeLadder, OverloadLadderDegradesTwiceUnderSustainedPressure) {
   const auto& records = ladder_trace();
   auto cfg = ladder_config(1);
   cfg.batch_size = 32;
   // Zero watermarks + sustain 1: Degraded on the first sustained push,
-  // Shedding on the next — each transition takes one rung.
+  // Shedding on the next.
   cfg.overload.degrade_watermark = 0.0;
   cfg.overload.shed_watermark = 0.0;
   cfg.overload.sustain_pushes = 1;
-  cfg.overload.auto_degrade_backend = true;
 
   const auto result = ContainmentPipeline::run(cfg, records);
-  EXPECT_EQ(result.metrics.backend_switches, 2u) << "Degraded → rung 1, Shedding → rung 2";
   ASSERT_EQ(result.metrics.shard_health.size(), 1u);
   EXPECT_EQ(result.metrics.shard_health[0], ShardHealth::Shedding);
-
-  // A fleet already configured compact has no rung left to take.
-  auto compact_cfg = cfg;
-  compact_cfg.backend = CounterBackend::Compact;
-  EXPECT_EQ(ContainmentPipeline::run(compact_cfg, records).metrics.backend_switches, 0u);
 }
 
 TEST(FleetDegradeLadder, FailureBudgetEnforcesOnEveryRung) {

@@ -364,5 +364,76 @@ TEST(FleetPipeline, SpanFeedChunksMatchPerRecordFeed) {
   EXPECT_EQ(spans.finish().verdicts, per_record.finish().verdicts);
 }
 
+/// A fleet large enough that every shard table outgrows the worker's
+/// lookahead gate (2^15 slots, at half load: past 16384 hosts per shard at
+/// one or two shards, past 8192 at four), with worm hosts that cross f·M and
+/// M mid-stream.  A light per-host body (a few records each, ~170k in all)
+/// keeps it quick under TSan.
+const InjectedTrace& large_fleet_trace() {
+  static const InjectedTrace injected = [] {
+    trace::LblSynthConfig cfg;
+    cfg.hosts = 40'000;
+    cfg.duration = 1.0 * sim::kDay;
+    cfg.body_log_mean = 0.7;
+    cfg.body_log_sigma = 0.8;
+    cfg.mean_revisits = 0.5;
+    WormInjectConfig inject;
+    inject.infected_hosts = 8;
+    inject.scan_rate = 0.02;  // 2M scans over ~8 h: crossings land mid-stream
+    inject.scans_per_host = 2 * 300;
+    inject.start = 0.25 * sim::kDay;
+    inject.host_count = cfg.hosts;
+    return inject_worm_scans(trace::synthesize_lbl_trace(cfg).records, inject);
+  }();
+  return injected;
+}
+
+TEST(FleetPipeline, LookaheadPathMatchesAuditAcrossShardsAndRestore) {
+  const InjectedTrace& injected = large_fleet_trace();
+  const std::vector<trace::ConnRecord>& records = injected.records;
+  auto cfg = base_config(CounterBackend::Exact, 1);
+  cfg.policy.scan_limit = 300;
+  cfg.policy.check_fraction = 0.5;
+
+  const auto one = ContainmentPipeline::run(cfg, records);
+  ASSERT_GT(one.verdicts.hosts.size(), 32'768u) << "fleet too small to reach the lookahead gate";
+
+  trace::TraceAnalyzer analyzer(records);
+  const auto report = analyzer.audit_policy({.scan_limit = cfg.policy.scan_limit,
+                                             .cycle_length = cfg.policy.cycle_length,
+                                             .check_fraction = cfg.policy.check_fraction});
+  EXPECT_EQ(one.verdicts.hosts_removed, report.hosts_removed);
+  EXPECT_EQ(one.verdicts.hosts_flagged, report.hosts_flagged);
+  for (const std::uint32_t host : injected.infected_hosts) {
+    const HostVerdict* v = one.verdicts.find(host);
+    ASSERT_NE(v, nullptr) << "host " << host;
+    EXPECT_TRUE(v->flagged) << "host " << host;
+    EXPECT_TRUE(v->removed) << "host " << host;
+    EXPECT_LT(v->flag_time, v->removal_time) << "host " << host;
+  }
+
+  for (const unsigned shards : {2u, 4u}) {
+    cfg.shards = shards;
+    EXPECT_EQ(ContainmentPipeline::run(cfg, records).verdicts, one.verdicts)
+        << "shards=" << shards;
+  }
+
+  // Mid-stream checkpoint at two shards, resumed at four: the restored host
+  // states (inline exact sets, in-cycle flags) must carry the lookahead path
+  // to the uninterrupted verdicts.
+  const std::size_t half = records.size() / 2;
+  cfg.shards = 2;
+  std::string blob;
+  {
+    ContainmentPipeline first(cfg);
+    first.feed(std::span<const trace::ConnRecord>(records).first(half));
+    blob = first.snapshot_blob();
+  }
+  cfg.shards = 4;
+  auto resumed = ContainmentPipeline::restore_from_blob(cfg, blob);
+  resumed->feed(std::span<const trace::ConnRecord>(records).subspan(half));
+  EXPECT_EQ(resumed->finish().verdicts, one.verdicts);
+}
+
 }  // namespace
 }  // namespace worms::fleet
