@@ -167,8 +167,8 @@ BENCHMARK(BM_MonteCarloCodeRed500)
     ->Unit(benchmark::kMillisecond);
 
 // Flight-recorder hot path (DESIGN.md §9): one TraceRing::record is a clock
-// read plus four plain stores and one release store, wrapping the ring
-// forever (the steady state of a long containment run).  The synthetic-clock
+// read plus four relaxed field stores inside a seqlock bracket, wrapping the
+// ring forever (the steady state of a long containment run).  The synthetic-clock
 // row isolates the store cost from the steady_clock read; items/s is events
 // recorded per second.  In a WORMS_OBS=OFF build both rows measure an empty
 // inline function.
@@ -246,8 +246,7 @@ BENCHMARK(BM_FleetPipeline)
 // distinct counting, policy — over the same worm-overlay trace, so when the
 // end-to-end number moves, the ladder names the layer that moved it.
 // BM_ContainFromFile is the headline: the complete file-to-verdicts path,
-// with {format, transport} axes.  EXPERIMENTS.md reports the CSV+MPSC
-// baseline against binary+SPSC from these rows.
+// with a format axis.
 
 const std::vector<trace::ConnRecord>& ingest_records() {
   static const std::vector<trace::ConnRecord> records = [] {
@@ -374,15 +373,13 @@ void BM_IngestPolicyOnScan(benchmark::State& state) {
 BENCHMARK(BM_IngestPolicyOnScan);
 
 // End to end: file bytes to verdicts.  Args: {format (0 = CSV, 1 = .wtrace),
-// transport (0 = SPSC ring, 1 = MPSC queue), shards}.  {0,1,s} is the PR 5
-// baseline (text parse + mutex queue), {1,0,s} is the PR 6 path; verdicts
-// are bit-identical across every row with the same shard count.
+// shards}; verdicts are bit-identical across every row with the same shard
+// count.
 void BM_ContainFromFile(benchmark::State& state) {
   fleet::PipelineOptions cfg;
   cfg.policy.scan_limit = 5'000;
   cfg.policy.check_fraction = 0.5;
-  cfg.shards = static_cast<unsigned>(state.range(2));
-  cfg.transport = state.range(1) == 0 ? fleet::Transport::Spsc : fleet::Transport::Mpsc;
+  cfg.shards = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
     fleet::PipelineResult result;
     if (state.range(0) == 0) {
@@ -398,12 +395,10 @@ void BM_ContainFromFile(benchmark::State& state) {
                           static_cast<std::int64_t>(ingest_records().size()));
 }
 BENCHMARK(BM_ContainFromFile)
-    ->Args({0, 1, 2})  // CSV + MPSC: the pre-PR-6 ingest path
-    ->Args({0, 0, 2})
-    ->Args({1, 1, 2})
-    ->Args({1, 0, 2})  // binary + SPSC: the PR 6 path
-    ->Args({0, 1, 4})
-    ->Args({1, 0, 4})
+    ->Args({0, 2})
+    ->Args({1, 2})
+    ->Args({0, 4})
+    ->Args({1, 4})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

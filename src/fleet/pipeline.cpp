@@ -14,7 +14,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "fleet/bounded_queue.hpp"
 #include "fleet/checkpoint.hpp"
 #include "fleet/host_table.hpp"
 #include "fleet/spsc_ring.hpp"
@@ -160,60 +159,8 @@ struct ContainmentPipeline::Monitor {
 /// `removed` is the one shared structure, guarded by its mutex, so shedding
 /// can consult it from the ingest side.
 struct ContainmentPipeline::Shard {
-  /// Transport-erasing facade over the shard queue.  One virtual call per
-  /// *batch* (not per record), so the A/B cost is noise; both transports
-  /// share the BoundedMpscQueue contract, so the fault-tolerance
-  /// choreography never knows which one is underneath.
-  class Channel {
-   public:
-    Channel(Transport transport, std::size_t capacity) {
-      if (transport == Transport::Spsc) {
-        impl_ = std::make_unique<Impl<SpscRing<ShardTask>>>(capacity);
-      } else {
-        impl_ = std::make_unique<Impl<BoundedMpscQueue<ShardTask>>>(capacity);
-      }
-    }
-
-    [[nodiscard]] bool try_push(ShardTask& task) { return impl_->try_push(task); }
-    [[nodiscard]] std::optional<ShardTask> pop_wait_for(std::chrono::milliseconds timeout) {
-      return impl_->pop_wait_for(timeout);
-    }
-    void close() { impl_->close(); }
-    [[nodiscard]] bool drained() const { return impl_->drained(); }
-    [[nodiscard]] std::size_t size() const { return impl_->size(); }
-    [[nodiscard]] std::size_t high_water() const { return impl_->high_water(); }
-    [[nodiscard]] std::size_t capacity() const { return impl_->capacity(); }
-
-   private:
-    struct Base {
-      virtual ~Base() = default;
-      virtual bool try_push(ShardTask& task) = 0;
-      virtual std::optional<ShardTask> pop_wait_for(std::chrono::milliseconds timeout) = 0;
-      virtual void close() = 0;
-      virtual bool drained() const = 0;
-      virtual std::size_t size() const = 0;
-      virtual std::size_t high_water() const = 0;
-      virtual std::size_t capacity() const = 0;
-    };
-    template <typename Q>
-    struct Impl final : Base {
-      explicit Impl(std::size_t capacity) : q(capacity) {}
-      bool try_push(ShardTask& task) override { return q.try_push(task); }
-      std::optional<ShardTask> pop_wait_for(std::chrono::milliseconds timeout) override {
-        return q.pop_wait_for(timeout);
-      }
-      void close() override { q.close(); }
-      bool drained() const override { return q.drained(); }
-      std::size_t size() const override { return q.size(); }
-      std::size_t high_water() const override { return q.high_water(); }
-      std::size_t capacity() const override { return q.capacity(); }
-      mutable Q q;
-    };
-    std::unique_ptr<Base> impl_;
-  };
-
   explicit Shard(const PipelineOptions& config)
-      : queue(config.transport, config.queue_capacity),
+      : queue(config.queue_capacity),
         effective_backend(config.backend),
         published_backend(static_cast<std::uint8_t>(config.backend)),
         hll_precision(config.hll_precision),
@@ -229,7 +176,6 @@ struct ContainmentPipeline::Shard {
       // a batch.  kill_fired persists across respawns: the kill fires once.
       if (kill_requested && !kill_fired && batches_done >= kill_after) {
         kill_fired = true;
-        if (trace != nullptr) trace->instant("worker_killed", static_cast<double>(index));
         if (events != nullptr) {
           events->emit(obs::EventType::FaultClauseFired, last_stream_index,
                        static_cast<std::uint64_t>(obs::FaultKind::WorkerKill), index);
@@ -242,7 +188,7 @@ struct ContainmentPipeline::Shard {
         if (queue.drained()) return;
         // Timeout: re-check faults, keep waiting.  Wall-clock traces record
         // the starved poll; synthetic ones stay silent (scheduling noise).
-        if (trace != nullptr && trace_wall) trace->instant("queue_pop_wait");
+        if (trace != nullptr && trace->wall_clock()) trace->instant("queue_pop_wait");
         continue;
       }
       if (task->gate) {
@@ -295,7 +241,6 @@ struct ContainmentPipeline::Shard {
       for (PendingStall& stall : stalls) {
         if (!stall.fired && batches_done >= stall.after) {
           stall.fired = true;
-          if (trace != nullptr) trace->instant("fault_stall", stall.seconds);
           if (events != nullptr) {
             events->emit(obs::EventType::FaultClauseFired, last_stream_index,
                          static_cast<std::uint64_t>(obs::FaultKind::WorkerStall), index);
@@ -448,9 +393,6 @@ struct ContainmentPipeline::Shard {
       h.verdict.removed = true;
       h.verdict.removed_by_failures = true;
       h.verdict.removal_time = r.timestamp;
-      if (trace != nullptr) {
-        trace->instant("failure_removal", static_cast<double>(r.source_host));
-      }
       if (events != nullptr) {
         events->emit(obs::EventType::HostRemoved, stream_index, r.source_host, 1);
       }
@@ -514,7 +456,6 @@ struct ContainmentPipeline::Shard {
     published_backend.store(static_cast<std::uint8_t>(effective_backend),
                             std::memory_order_release);
     ++backend_switches_this_run;
-    if (trace != nullptr) trace->instant("backend_degrade", static_cast<double>(index));
     if (events != nullptr) {
       events->emit(obs::EventType::DegradeStep, last_stream_index, index,
                    static_cast<std::uint64_t>(effective_backend));
@@ -544,7 +485,7 @@ struct ContainmentPipeline::Shard {
     return static_cast<std::uint64_t>(now / cycle_length);
   }
 
-  Channel queue;
+  SpscRing<ShardTask> queue;
   CounterBackend effective_backend;  ///< what newly seen hosts get
   /// Mirror of effective_backend readable from the ingest thread (the status
   /// plane): the worker owns effective_backend and publishes every rung walk
@@ -569,7 +510,6 @@ struct ContainmentPipeline::Shard {
   /// Alert hook (PipelineOptions::on_removal); null when unset.
   const std::function<void(std::uint32_t, sim::SimTime)>* on_removal = nullptr;
   obs::TraceRing* trace = nullptr;  ///< this shard worker's flight-recorder ring
-  bool trace_wall = false;          ///< tracer in wall-clock mode (timing events on)
   obs::EventWriter* events = nullptr;  ///< this shard worker's journal writer
   /// Stream index of the last record handed to process() — the position a
   /// control-task event (degrade order, pre-containment) is journalled at.
@@ -650,7 +590,6 @@ ContainmentPipeline::ContainmentPipeline(const PipelineOptions& options, DeferWo
       // a respawned worker continues its predecessor's ring (the dead-flag
       // handshake orders the handoff).
       shards_[s]->trace = &tracer->ring(s + 1);
-      shards_[s]->trace_wall = tracer->wall_clock();
     }
     // Same logical-id discipline as the trace rings: writer s+1 follows the
     // shard, not the pool thread, so respawned workers continue the stream.
@@ -753,7 +692,6 @@ void ContainmentPipeline::feed(const trace::ConnRecord& record) {
   trace::ConnRecord r = record;
   if (!corrupt_indices_.empty() &&
       std::binary_search(corrupt_indices_.begin(), corrupt_indices_.end(), index)) {
-    if (trace_ != nullptr) trace_->instant("fault_corrupt", static_cast<double>(index));
     if (events_ != nullptr) {
       events_->emit(obs::EventType::FaultClauseFired, index,
                     static_cast<std::uint64_t>(obs::FaultKind::RecordCorrupt),
@@ -930,7 +868,7 @@ void ContainmentPipeline::push_shard_task(unsigned shard_index, ShardTask task,
     // Backpressure stall: a span (not an instant) so the viewer shows the
     // blocked ingest wall time.  Wall clocks only — in synthetic time the
     // retry count is scheduling noise.
-    if (!stall_open && trace_ != nullptr && config_.tracer->wall_clock()) {
+    if (!stall_open && trace_ != nullptr && trace_->wall_clock()) {
       trace_->span_begin("queue_push_stall");
       stall_open = true;
     }
@@ -984,12 +922,6 @@ void ContainmentPipeline::observe_overload(unsigned shard_index, double fill_fra
       obs_.health_transitions[static_cast<std::size_t>(next)]->add(1);
       obs_.shard_health[shard_index]->set(static_cast<double>(next));
     }
-    if (trace_ != nullptr) {
-      const char* name = next == ShardHealth::Healthy    ? "health_healthy"
-                         : next == ShardHealth::Degraded ? "health_degraded"
-                                                         : "health_shedding";
-      trace_->instant(name, static_cast<double>(shard_index));
-    }
     // Overload transitions are queue-timing artifacts: journal them only on
     // the wall clock, so synthetic journals stay scheduling-independent.
     if (events_ != nullptr && events_->wall_clock()) {
@@ -1019,7 +951,6 @@ void ContainmentPipeline::respawn(unsigned shard_index) {
   shard.dead.store(false, std::memory_order_release);
   ++workers_respawned_;
   if (obs_.workers_respawned != nullptr) obs_.workers_respawned->add(1);
-  if (trace_ != nullptr) trace_->instant("worker_respawned", static_cast<double>(shard_index));
   // The respawn position depends on when the ingest thread *notices* the dead
   // flag — wall-clock journals only, like the overload transitions above.
   if (events_ != nullptr && events_->wall_clock()) {

@@ -17,7 +17,7 @@
 //        │ for the power-of-two shard counts the tests sweep this equals the
 //        │ classic source_host % shards.
 //        ▼
-//   BoundedMpscQueue<batch> × N     (blocking backpressure, high-water gauges)
+//   SpscRing<batch> × N     (lock-free, blocking backpressure, high-water gauges)
 //        ▼
 //   shard worker × N: per-host {DistinctCounter, cycle, verdict} state
 //        driving one core::ScanCountLimitPolicy per shard (Attempts mode —
@@ -104,14 +104,6 @@ struct OverloadPolicy {
   unsigned sustain_pushes = 8;      ///< consecutive samples before a transition
 };
 
-/// Shard-queue transport.  Spsc is the default: the ingest thread is the
-/// only producer and each shard worker the only consumer, so the lock-free
-/// ring (fleet/spsc_ring.hpp) carries batches without a mutex in sight.
-/// Mpsc selects the classic mutex/condvar BoundedMpscQueue — same contract,
-/// kept for A/B benchmarking and as the conservative fallback.  Verdicts are
-/// bit-identical across transports (both are per-shard FIFO).
-enum class Transport : std::uint8_t { Spsc, Mpsc };
-
 /// All pipeline knobs in one designated-initializer struct (the
 /// MonteCarloOptions idiom): `ContainmentPipeline({.policy = ..., .shards =
 /// 4})`.  `validate()` checks every cross-field precondition and is called
@@ -137,7 +129,6 @@ struct PipelineOptions {
   unsigned shards = 0;         ///< worker count; 0 = one per hardware thread
   std::size_t batch_size = 1024;     ///< records per queue item
   std::size_t queue_capacity = 64;   ///< batches per shard queue (backpressure)
-  Transport transport = Transport::Spsc;  ///< shard-queue implementation
 
   /// Checkpointing: every `checkpoint_every` fed records, quiesce and write a
   /// snapshot to `checkpoint_path` (0 = only explicit write_checkpoint calls).
@@ -179,10 +170,10 @@ struct PipelineOptions {
   /// workers), and shards+1.. (pool threads) and records span/instant events
   /// along the reaction path: ingest_batch / shard_batch / checkpoint_write /
   /// checkpoint_restore / metrics_export spans, backpressure stall spans and
-  /// queue-wait instants (wall-clock tracers only), and instants for health
-  /// transitions, exact→HLL degrades, dead-lettered records, worker
-  /// kill/respawn, and fault-plan firings.  The tracer must outlive the
-  /// pipeline.
+  /// queue-wait instants (wall-clock tracers only), and dead-lettered-record
+  /// instants.  State transitions are journalled, not traced: set `events`
+  /// too and fold the journal in with obs::merge_journal to see them on the
+  /// trace timeline.  The tracer must outlive the pipeline.
   obs::Tracer* tracer = nullptr;
 
   /// Optional structured event journal (DESIGN.md §14).  Null = no journal.

@@ -1,6 +1,6 @@
 // Bounded lock-free single-producer single-consumer ring.
 //
-// PR 6's transport for the fleet pipeline (DESIGN.md §10): the ingest thread
+// The fleet pipeline's one shard transport (DESIGN.md §10): the ingest thread
 // is the only producer and each shard worker the only consumer, so the
 // general mutex/condvar BoundedMpscQueue pays for contention that cannot
 // happen.  This ring is the classic two-counter SPSC design: the producer
@@ -9,11 +9,11 @@
 // caches the remote counter so the common case (ring neither full nor
 // empty) touches no shared cache line at all.
 //
-// The API deliberately mirrors BoundedMpscQueue — push/try_push,
-// pop/pop_wait_for returning optional, close()/drained() end-of-stream,
-// size()/high_water()/capacity() gauges — so the pipeline swaps transports
-// behind one interface and the fault-tolerance choreography (respawn after
-// a worker death, quiesce gates, overload sampling) is unchanged.  Waiting
+// The API mirrors BoundedMpscQueue — push/try_push, pop/pop_wait_for
+// returning optional, close()/drained() end-of-stream,
+// size()/high_water()/capacity() gauges — which is what the fault-tolerance
+// choreography (respawn after a worker death, quiesce gates, overload
+// sampling) is written against.  Waiting
 // is spin-then-sleep rather than condvar parking: queue operations are per
 // batch, not per record, and the poll deadline doubles as the fault check
 // interval exactly as the queue's timed wait did.

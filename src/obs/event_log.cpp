@@ -11,27 +11,6 @@ namespace worms::obs {
 
 namespace {
 
-/// Smallest power of two >= n, floored at 64 — same normalization as the
-/// trace rings, for the same wraparound-arithmetic reasons.
-[[nodiscard]] std::size_t normalize_capacity(std::size_t n) noexcept {
-  std::size_t cap = 64;
-  while (cap < n && cap < (std::size_t{1} << 30)) cap <<= 1;
-  return cap;
-}
-
-std::atomic<std::uint64_t> g_event_log_epoch{1};
-
-/// Thread-local cache for local_writer(): valid only while both the owner
-/// pointer and its construction epoch match, so an EventLog reallocated at
-/// the same address never inherits a stale writer.
-struct TlsWriterCache {
-  const EventLog* owner = nullptr;
-  std::uint64_t epoch = 0;
-  EventWriter* writer = nullptr;
-};
-
-thread_local TlsWriterCache t_writer_cache;
-
 constexpr std::array<EventType, 8> kAllEventTypes = {
     EventType::DegradeStep,      EventType::CheckpointWrite,
     EventType::CheckpointRestore, EventType::ReplicaPromotion,
@@ -65,85 +44,18 @@ bool parse_event_type(std::string_view name, EventType& out) noexcept {
   return false;
 }
 
-EventWriter::EventWriter(std::uint32_t id, std::size_t capacity, bool synthetic,
-                         std::chrono::steady_clock::time_point start)
-    : events_(capacity),
-      mask_(capacity - 1),
-      id_(id),
-      synthetic_(synthetic),
-      start_(start) {}
-
 EventLog::EventLog(const EventLogOptions& options)
-    : options_(options),
-      ring_capacity_(normalize_capacity(options.buffer_events)),
-      start_(std::chrono::steady_clock::now()),
-      epoch_(g_event_log_epoch.fetch_add(1, std::memory_order_relaxed)),
-      next_auto_id_(kEventAutoWriterBase) {}
-
-EventWriter& EventLog::writer_locked(std::uint32_t id) {
-  for (const auto& w : writers_) {
-    if (w->id() == id) return *w;
-  }
-  writers_.push_back(std::unique_ptr<EventWriter>(new EventWriter(
-      id, ring_capacity_, options_.clock == TraceClock::Synthetic, start_)));
-  return *writers_.back();
-}
-
-EventWriter& EventLog::writer(std::uint32_t id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return writer_locked(id);
-}
-
-EventWriter& EventLog::local_writer() {
-  TlsWriterCache& cache = t_writer_cache;
-  if (cache.owner == this && cache.epoch == epoch_) return *cache.writer;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  // Skip ids already claimed explicitly via writer() — an auto-registered
-  // thread must never share a ring with another emitter.
-  for (;;) {
-    const std::uint32_t id = next_auto_id_++;
-    bool taken = false;
-    for (const auto& w : writers_) {
-      if (w->id() == id) {
-        taken = true;
-        break;
-      }
-    }
-    if (!taken) {
-      EventWriter& w = writer_locked(id);
-      cache = {this, epoch_, &w};
-      return w;
-    }
-  }
-}
+    : WriterRingSet(options.buffer_events, options.clock), node_id_(options.node_id) {}
 
 EventCollection EventLog::collect() const {
   EventCollection out;
-  out.clock = options_.clock;
-  out.node_id = options_.node_id;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& writer : writers_) {
-    // Same drain discipline as TraceRing: copy raw slots below `head`, then
-    // discard any slot the `started_` counter shows a live writer may have
-    // lapped mid-drain — never pair an old seq with a newer lap's payload.
-    const std::uint64_t head = writer->head_.load(std::memory_order_acquire);
-    const std::uint64_t retained = std::min<std::uint64_t>(head, writer->capacity());
-    const std::uint64_t first = head - retained;
-    std::vector<Event> slots(static_cast<std::size_t>(retained));
-    for (std::uint64_t seq = first; seq < head; ++seq) {
-      slots[static_cast<std::size_t>(seq - first)] = writer->events_[seq & writer->mask_];
-    }
-    const std::uint64_t started = writer->started_.load(std::memory_order_acquire);
-    const std::uint64_t stable_first =
-        started > writer->capacity() ? std::max(first, started - writer->capacity()) : first;
-    out.recorded += head;
-    out.dropped += head - retained + (stable_first - first);
-    for (std::uint64_t seq = stable_first; seq < head; ++seq) {
-      const Event& ev = slots[static_cast<std::size_t>(seq - first)];
-      out.events.push_back(
-          {ev.tick, ev.position, ev.a, ev.b, seq, writer->id(), ev.type});
-    }
-  }
+  out.clock = clock();
+  out.node_id = node_id_;
+  drain(
+      [&out](const Event& ev, std::uint64_t seq, std::uint32_t writer) {
+        out.events.push_back({ev.tick, ev.position, ev.a, ev.b, seq, writer, ev.type});
+      },
+      out.recorded, out.dropped);
   std::sort(out.events.begin(), out.events.end(),
             [](const CollectedEvent& a, const CollectedEvent& b) {
               if (a.position != b.position) return a.position < b.position;

@@ -25,19 +25,25 @@
 //   NetQuarantine      DeadLetterReason         connection id
 //   OverloadTransition shard index              new ShardHealth rung
 //
-// Recording discipline mirrors the flight recorder (obs/trace.hpp): every
-// writer owns an EventWriter — a fixed-capacity ring that overwrites its own
-// oldest slots and never blocks, locks, or allocates on the hot path (a
-// record is a clock read plus five plain stores and two release stores,
-// ~tens of ns).  Writers are single-writer by contract: the pipeline claims
-// ids 0 = ingest, 1..S = shard workers; threads without a logical identity
-// (net reader threads) use the thread-local `local_writer()`.
+// Recording discipline is the flight recorder's: every writer owns an
+// EventWriter — an obs::WriterRing (obs/writer_ring.hpp) that overwrites its
+// own oldest slots and never blocks, locks, or allocates on the hot path (a
+// record is a clock read plus five field stores, ~tens of ns).  Writers are
+// single-writer by contract: the pipeline claims ids 0 = ingest, 1..S =
+// shard workers — the same ids as its trace rings' tids; threads without a
+// logical identity (net reader threads) use the thread-local
+// `local_writer()`.
 //
-// Clock: wall mode stamps steady-clock nanoseconds since log construction;
-// synthetic mode stamps each writer's own event sequence number, so exports
-// are byte-reproducible for golden tests.  collect() orders the merged
-// stream by (position, writer, seq) — a key that is deterministic under the
-// synthetic clock regardless of thread scheduling.
+// The journal is the one record of these transitions: the Chrome trace
+// export renders it as instants (obs/trace_export.hpp) rather than the
+// pipeline writing each transition twice.
+//
+// Clock: wall mode stamps steady-clock nanoseconds since the process's wall
+// origin (shared with the trace rings); synthetic mode stamps each writer's
+// own event sequence number, so exports are byte-reproducible for golden
+// tests.  collect() orders the merged stream by (position, writer, seq) — a
+// key that is deterministic under the synthetic clock regardless of thread
+// scheduling.
 //
 // Export is JSONL (one event object per line; see event_log.cpp) readable
 // by `wormctl events FILE [--type T] [--since POS]`.  Zero cost when
@@ -46,18 +52,14 @@
 // journals produced by enabled builds.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
-#include "obs/metrics.hpp"  // kEnabled
-#include "obs/trace.hpp"    // TraceClock
+#include "obs/writer_ring.hpp"
 
 namespace worms::obs {
 
@@ -89,11 +91,13 @@ enum class FaultKind : std::uint8_t {
 
 /// One fixed-size slot in a writer ring.
 struct Event {
-  std::uint64_t tick = 0;      ///< wall: ns since log start; synthetic: writer seq
+  std::uint64_t tick = 0;      ///< wall: ns since wall_origin(); synthetic: writer seq
   std::uint64_t position = 0;  ///< absolute stream position when the event fired
   std::uint64_t a = 0;         ///< type-specific (see table above)
   std::uint64_t b = 0;         ///< type-specific
   EventType type = EventType::DegradeStep;
+
+  auto fields() noexcept { return std::tie(tick, position, a, b, type); }
 };
 
 struct EventLogOptions {
@@ -107,70 +111,21 @@ struct EventLogOptions {
   std::uint64_t node_id = 0;
 };
 
-/// Single-writer event ring.  Obtain via EventLog::writer / local_writer; at
-/// most one thread may emit into a given writer at a time (handoffs must be
-/// externally synchronized, e.g. the pipeline's worker-respawn handshake).
-class EventWriter {
+/// Single-writer event ring.  Obtain via EventLog::writer / local_writer.
+/// Emission sites whose firing position depends on thread timing (overload
+/// transitions, worker respawns) gate on wall_clock() so synthetic journals
+/// stay byte-reproducible.
+class EventWriter : public WriterRing<Event> {
  public:
-  /// Hot path: clock read + 5 plain stores + 2 release stores.  Wraparound
-  /// overwrites the oldest slot; nothing ever blocks.  Seqlock-style
-  /// bracket, same as TraceRing: `started_` announces the overwrite before
-  /// the field stores, `head_` publishes it after, so a concurrent
-  /// collect() never pairs an old sequence number with a newer lap's
-  /// half-written payload.
   void emit(EventType type, std::uint64_t position, std::uint64_t a = 0,
             std::uint64_t b = 0) noexcept {
-    if constexpr (!kEnabled) {
-      (void)type;
-      (void)position;
-      (void)a;
-      (void)b;
-      return;
-    }
-    const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    started_.store(h + 1, std::memory_order_release);
-    Event& slot = events_[h & mask_];
-    slot.tick = synthetic_ ? h : wall_tick();
-    slot.position = position;
-    slot.a = a;
-    slot.b = b;
-    slot.type = type;
-    head_.store(h + 1, std::memory_order_release);
-  }
-
-  [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return events_.size(); }
-
-  /// False in synthetic-clock mode.  Emission sites whose firing position
-  /// depends on thread timing (overload transitions, worker respawns) gate
-  /// on this so synthetic journals stay byte-reproducible.
-  [[nodiscard]] bool wall_clock() const noexcept { return !synthetic_; }
-
-  /// Events emitted over this writer's lifetime (retained + overwritten).
-  [[nodiscard]] std::uint64_t recorded() const noexcept {
-    return head_.load(std::memory_order_relaxed);
+    record({.position = position, .a = a, .b = b, .type = type});
   }
 
  private:
-  friend class EventLog;
-
-  EventWriter(std::uint32_t id, std::size_t capacity, bool synthetic,
-              std::chrono::steady_clock::time_point start);
-
-  [[nodiscard]] std::uint64_t wall_tick() const noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
-  }
-
-  std::vector<Event> events_;
-  std::uint64_t mask_ = 0;
-  std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> started_{0};  ///< events whose slot write has begun
-  std::uint32_t id_ = 0;
-  bool synthetic_ = false;
-  std::chrono::steady_clock::time_point start_;
+  friend class WriterRingSet<EventWriter>;
+  EventWriter(std::uint32_t id, std::size_t capacity, bool synthetic)
+      : WriterRing(id, capacity, synthetic) {}
 };
 
 /// One event as drained by collect(), with its writer identity and ring
@@ -199,32 +154,19 @@ struct EventCollection {
 /// Owns the writer rings.  No global instance — each pipeline/node is handed
 /// one explicitly, like obs::Registry and obs::Tracer.  The log must outlive
 /// every thread still emitting into its writers.
-class EventLog {
+class EventLog : private WriterRingSet<EventWriter> {
  public:
   explicit EventLog(const EventLogOptions& options = {});
 
-  EventLog(const EventLog&) = delete;
-  EventLog& operator=(const EventLog&) = delete;
+  /// The writer for logical id `id` (WriterRingSet::ring).
+  [[nodiscard]] EventWriter& writer(std::uint32_t id) { return ring(id); }
 
-  /// The writer for logical id `id`, created on first use.  The caller
-  /// guarantees a single concurrent emitter per id (the pipeline uses
-  /// 0 = ingest, 1..S = shard workers).  Handles stay valid for the log's
-  /// lifetime.
-  [[nodiscard]] EventWriter& writer(std::uint32_t id);
+  /// The calling thread's auto-registered writer (WriterRingSet::local_ring)
+  /// — for emission sites without a logical writer identity (net reader
+  /// threads).
+  [[nodiscard]] EventWriter& local_writer() { return local_ring(); }
 
-  /// The calling thread's own auto-registered writer (ids from
-  /// kEventAutoWriterBase up), cached thread-locally — for emission sites
-  /// without a logical writer identity (net reader threads).
-  [[nodiscard]] EventWriter& local_writer();
-
-  /// False in synthetic-clock mode; timing-dependent emission sites may
-  /// skip recording when this is false so synthetic journals stay
-  /// scheduling-independent.
-  [[nodiscard]] bool wall_clock() const noexcept {
-    return options_.clock == TraceClock::Wall;
-  }
-
-  [[nodiscard]] const EventLogOptions& options() const noexcept { return options_; }
+  using WriterRingSet::wall_clock;
 
   /// Drains every writer into one (position, writer, seq)-ordered stream.
   /// Safe to call while emitters are quiescent; a concurrently emitting
@@ -232,20 +174,12 @@ class EventLog {
   [[nodiscard]] EventCollection collect() const;
 
  private:
-  [[nodiscard]] EventWriter& writer_locked(std::uint32_t id);
-
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<EventWriter>> writers_;
-  EventLogOptions options_;
-  std::size_t ring_capacity_ = 0;  ///< options_.buffer_events, normalized
-  std::chrono::steady_clock::time_point start_;
-  std::uint64_t epoch_ = 0;  ///< process-unique id validating TLS caches
-  std::uint32_t next_auto_id_;
+  std::uint64_t node_id_;
 };
 
 /// First auto-assigned writer id for local_writer(); explicit writer() ids
 /// should stay below it.
-inline constexpr std::uint32_t kEventAutoWriterBase = 4096;
+inline constexpr std::uint32_t kEventAutoWriterBase = kAutoWriterBase;
 
 /// JSONL rendering: one event object per line, in collection order —
 /// {"node":0,"type":"HostRemoved","position":41,"writer":2,"seq":3,

@@ -2,34 +2,7 @@
 
 #include <algorithm>
 
-#include "support/check.hpp"
-
 namespace worms::obs {
-
-namespace {
-
-/// Smallest power of two >= n, floored at 64 so wraparound arithmetic and
-/// the drop accounting stay sane for degenerate requests.
-[[nodiscard]] std::size_t normalize_capacity(std::size_t n) noexcept {
-  std::size_t cap = 64;
-  while (cap < n && cap < (std::size_t{1} << 30)) cap <<= 1;
-  return cap;
-}
-
-std::atomic<std::uint64_t> g_tracer_epoch{1};
-
-/// Thread-local cache for local_ring(): valid only while both the owner
-/// pointer and its construction epoch match, so a tracer reallocated at the
-/// same address never inherits a stale ring.
-struct TlsRingCache {
-  const Tracer* owner = nullptr;
-  std::uint64_t epoch = 0;
-  TraceRing* ring = nullptr;
-};
-
-thread_local TlsRingCache t_ring_cache;
-
-}  // namespace
 
 const char* to_string(TraceEventKind kind) noexcept {
   switch (kind) {
@@ -41,107 +14,26 @@ const char* to_string(TraceEventKind kind) noexcept {
   return "unknown";
 }
 
-const char* to_string(TraceClock clock) noexcept {
-  switch (clock) {
-    case TraceClock::Wall: return "wall";
-    case TraceClock::Synthetic: return "synthetic";
-  }
-  return "unknown";
+bool trace_order(const CollectedTraceEvent& a, const CollectedTraceEvent& b) noexcept {
+  if (a.tick != b.tick) return a.tick < b.tick;
+  if (a.tid != b.tid) return a.tid < b.tid;
+  return a.seq < b.seq;
 }
-
-TraceRing::TraceRing(std::uint32_t tid, std::size_t capacity, bool synthetic,
-                     std::chrono::steady_clock::time_point start)
-    : events_(capacity),
-      mask_(capacity - 1),
-      tid_(tid),
-      synthetic_(synthetic),
-      start_(start) {}
 
 Tracer::Tracer(const TracerOptions& options)
-    : options_(options),
-      ring_capacity_(normalize_capacity(options.buffer_events)),
-      start_(std::chrono::steady_clock::now()),
-      epoch_(g_tracer_epoch.fetch_add(1, std::memory_order_relaxed)),
-      next_auto_tid_(kTraceAutoTidBase) {}
-
-TraceRing& Tracer::ring_locked(std::uint32_t tid) {
-  for (const auto& r : rings_) {
-    if (r->tid() == tid) return *r;
-  }
-  rings_.push_back(std::unique_ptr<TraceRing>(new TraceRing(
-      tid, ring_capacity_, options_.clock == TraceClock::Synthetic, start_)));
-  return *rings_.back();
-}
-
-TraceRing& Tracer::ring(std::uint32_t tid) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return ring_locked(tid);
-}
-
-TraceRing& Tracer::local_ring() {
-  TlsRingCache& cache = t_ring_cache;
-  if (cache.owner == this && cache.epoch == epoch_) return *cache.ring;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  // Skip tids already claimed explicitly via ring() — an auto-registered
-  // thread must never share a ring with another writer.
-  for (;;) {
-    const std::uint32_t tid = next_auto_tid_++;
-    bool taken = false;
-    for (const auto& r : rings_) {
-      if (r->tid() == tid) {
-        taken = true;
-        break;
-      }
-    }
-    if (!taken) {
-      TraceRing& r = ring_locked(tid);
-      cache = {this, epoch_, &r};
-      return r;
-    }
-  }
-}
+    : WriterRingSet(options.buffer_events, options.clock) {}
 
 TraceCollection Tracer::collect() const {
   TraceCollection out;
-  out.clock = options_.clock;
-  out.ticks_per_second = options_.clock == TraceClock::Wall ? 1e9 : 1.0;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& ring : rings_) {
-    // The release store in record() publishes every slot below `head`; slots
-    // older than one capacity have been overwritten and are counted dropped.
-    const std::uint64_t head = ring->head_.load(std::memory_order_acquire);
-    const std::uint64_t retained = std::min<std::uint64_t>(head, ring->capacity());
-    const std::uint64_t first = head - retained;
-    // Copy raw slots first (a torn slot is safe to copy, not to interpret):
-    // a live writer may lap the drain, clobbering the oldest slots while we
-    // read them.
-    std::vector<TraceEvent> slots(static_cast<std::size_t>(retained));
-    for (std::uint64_t seq = first; seq < head; ++seq) {
-      slots[static_cast<std::size_t>(seq - first)] = ring->events_[seq & ring->mask_];
-    }
-    // Slot `seq` is only rewritten while the writer works on event
-    // `seq + capacity`, and record() announces that work in `started_`
-    // before touching the slot — so every slot the started counter has not
-    // reached within one capacity was stable for the whole drain.  The rest
-    // were (or may have been) overwritten mid-drain: count them dropped
-    // rather than emit a stale seq with a newer lap's payload.
-    const std::uint64_t started = ring->started_.load(std::memory_order_acquire);
-    const std::uint64_t stable_first =
-        started > ring->capacity() ? std::max(first, started - ring->capacity()) : first;
-    out.recorded += head;
-    out.dropped += head - retained + (stable_first - first);
-    for (std::uint64_t seq = stable_first; seq < head; ++seq) {
-      const TraceEvent& ev = slots[static_cast<std::size_t>(seq - first)];
-      out.events.push_back({ev.tick, seq, ev.name != nullptr ? ev.name : "",
-                            ev.value, ring->tid(), ev.kind});
-    }
-  }
-  std::sort(out.events.begin(), out.events.end(),
-            [](const CollectedTraceEvent& a, const CollectedTraceEvent& b) {
-              if (a.tick != b.tick) return a.tick < b.tick;
-              if (a.tid != b.tid) return a.tid < b.tid;
-              return a.seq < b.seq;
-            });
+  out.clock = clock();
+  out.ticks_per_second = wall_clock() ? 1e9 : 1.0;
+  drain(
+      [&out](const TraceEvent& ev, std::uint64_t seq, std::uint32_t tid) {
+        out.events.push_back(
+            {ev.tick, seq, ev.name != nullptr ? ev.name : "", ev.value, tid, ev.kind});
+      },
+      out.recorded, out.dropped);
+  std::sort(out.events.begin(), out.events.end(), trace_order);
   return out;
 }
 

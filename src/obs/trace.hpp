@@ -11,24 +11,29 @@
 //
 //   * span begin/end — a named region of one thread's time (RAII via
 //     WORMS_TRACE_SPAN); nesting is by position, exactly Chrome's B/E model.
-//   * instant       — a point event (worker killed, health transition,
-//     dead-lettered record), with one double payload.
+//   * instant       — a point event (dead-lettered record, starved queue
+//     poll), with one double payload.
 //   * counter       — a sampled value (queue depth) rendered as a counter
 //     track by the trace viewer.
 //
 // Recording discipline ("flight recorder"): every writer owns a TraceRing —
-// a fixed-capacity ring of TraceEvent slots that overwrites its own oldest
-// entries and never blocks, allocates, or locks on the hot path.  A record
-// is a clock read plus four plain stores and one release store of the head
-// index.  Rings are single-writer by contract: either claim a logical thread
-// id explicitly (`tracer.ring(tid)` — what the pipeline does, so trace
-// output is deterministic) or use the thread-local `tracer.local_ring()`.
+// an obs::WriterRing (obs/writer_ring.hpp) of TraceEvent slots that
+// overwrites its own oldest entries and never blocks, allocates, or locks on
+// the hot path.  Rings are single-writer by contract: either claim a logical
+// thread id explicitly (`tracer.ring(tid)` — what the pipeline does, so
+// trace output is deterministic) or use the thread-local
+// `tracer.local_ring()`.
 //
-// Clock: wall mode stamps steady-clock nanoseconds since tracer
-// construction.  Synthetic mode stamps each ring's own event sequence number
-// — logical time for golden tests, where byte-identical reruns matter more
-// than durations; timing-dependent recording sites (queue waits, stall
-// spans) check `wall_clock()` and stay silent in synthetic mode.
+// Clock: wall mode stamps steady-clock nanoseconds since the process's wall
+// origin, shared with the event journal.  Synthetic mode stamps each ring's
+// own event sequence number — logical time for golden tests, where
+// byte-identical reruns matter more than durations; timing-dependent
+// recording sites (queue waits, stall spans) check `wall_clock()` and stay
+// silent in synthetic mode.
+//
+// State transitions (worker kills, degrades, overload rungs, ...) are not
+// trace instants: the event journal is their one record, and the Chrome
+// export renders it as instants on the same timeline (obs/trace_export.hpp).
 //
 // Collection (`collect()`) is the cold path: it drains every ring into one
 // stream ordered by (tick, tid, seq) and reports how many events the rings
@@ -40,16 +45,13 @@
 // nothing, mirroring the metrics layer.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "obs/metrics.hpp"  // kEnabled
+#include "obs/writer_ring.hpp"
 
 namespace worms::obs {
 
@@ -61,18 +63,13 @@ enum class TraceEventKind : std::uint8_t { SpanBegin, SpanEnd, Instant, Counter 
 /// (string literals at the recording sites) — rings store the pointer, never
 /// the characters.
 struct TraceEvent {
-  std::uint64_t tick = 0;      ///< wall: ns since tracer start; synthetic: ring seq
+  std::uint64_t tick = 0;      ///< wall: ns since wall_origin(); synthetic: ring seq
   const char* name = nullptr;  ///< static-storage event name
   double value = 0.0;          ///< instant/counter payload; 0 for spans
   TraceEventKind kind = TraceEventKind::Instant;
-};
 
-enum class TraceClock : std::uint8_t {
-  Wall,       ///< steady-clock nanoseconds — for real latency attribution
-  Synthetic,  ///< per-ring sequence numbers — deterministic, for golden tests
+  auto fields() noexcept { return std::tie(tick, name, value, kind); }
 };
-
-[[nodiscard]] const char* to_string(TraceClock clock) noexcept;
 
 struct TracerOptions {
   /// Ring capacity in events per writer thread (rounded up to a power of
@@ -82,71 +79,28 @@ struct TracerOptions {
   TraceClock clock = TraceClock::Wall;
 };
 
-/// Single-writer event ring.  Obtain via Tracer::ring / Tracer::local_ring;
-/// at most one thread may record into a given ring at a time (handoffs must
-/// be externally synchronized, e.g. the pipeline's worker-respawn handshake).
-class TraceRing {
+/// Single-writer trace ring.  Obtain via Tracer::ring / Tracer::local_ring.
+class TraceRing : public WriterRing<TraceEvent> {
  public:
-  void span_begin(const char* name) noexcept { record(TraceEventKind::SpanBegin, name, 0.0); }
-  void span_end(const char* name) noexcept { record(TraceEventKind::SpanEnd, name, 0.0); }
+  void span_begin(const char* name) noexcept {
+    record({.name = name, .kind = TraceEventKind::SpanBegin});
+  }
+  void span_end(const char* name) noexcept {
+    record({.name = name, .kind = TraceEventKind::SpanEnd});
+  }
   void instant(const char* name, double value = 0.0) noexcept {
-    record(TraceEventKind::Instant, name, value);
+    record({.name = name, .value = value, .kind = TraceEventKind::Instant});
   }
   void counter(const char* name, double value) noexcept {
-    record(TraceEventKind::Counter, name, value);
+    record({.name = name, .value = value, .kind = TraceEventKind::Counter});
   }
 
-  /// Hot path: clock read + 4 plain stores + 2 release stores.  Wraparound
-  /// overwrites the oldest slot; nothing ever blocks.  Seqlock-style
-  /// bracket: `started_` announces the overwrite before the field stores,
-  /// `head_` publishes it after — a concurrent collect() discards any slot
-  /// whose overwrite had started, so it never pairs an old sequence number
-  /// with a newer lap's half-written payload.
-  void record(TraceEventKind kind, const char* name, double value) noexcept {
-    if constexpr (!kEnabled) {
-      (void)kind;
-      (void)name;
-      (void)value;
-      return;
-    }
-    const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    started_.store(h + 1, std::memory_order_release);
-    TraceEvent& slot = events_[h & mask_];
-    slot.tick = synthetic_ ? h : wall_tick();
-    slot.name = name;
-    slot.value = value;
-    slot.kind = kind;
-    head_.store(h + 1, std::memory_order_release);
-  }
-
-  [[nodiscard]] std::uint32_t tid() const noexcept { return tid_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return events_.size(); }
-
-  /// Events recorded over this ring's lifetime (retained + overwritten).
-  [[nodiscard]] std::uint64_t recorded() const noexcept {
-    return head_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint32_t tid() const noexcept { return id(); }
 
  private:
-  friend class Tracer;
-
-  TraceRing(std::uint32_t tid, std::size_t capacity, bool synthetic,
-            std::chrono::steady_clock::time_point start);
-
-  [[nodiscard]] std::uint64_t wall_tick() const noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
-  }
-
-  std::vector<TraceEvent> events_;
-  std::uint64_t mask_ = 0;
-  std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> started_{0};  ///< events whose slot write has begun
-  std::uint32_t tid_ = 0;
-  bool synthetic_ = false;
-  std::chrono::steady_clock::time_point start_;
+  friend class WriterRingSet<TraceRing>;
+  TraceRing(std::uint32_t tid, std::size_t capacity, bool synthetic)
+      : WriterRing(tid, capacity, synthetic) {}
 };
 
 /// One event as drained by collect(): name copied out of static storage,
@@ -162,7 +116,11 @@ struct CollectedTraceEvent {
   friend bool operator==(const CollectedTraceEvent&, const CollectedTraceEvent&) = default;
 };
 
-/// All rings drained into one stream ordered by (tick, tid, seq).
+/// The collected stream's total order: (tick, tid, seq).
+[[nodiscard]] bool trace_order(const CollectedTraceEvent& a,
+                               const CollectedTraceEvent& b) noexcept;
+
+/// All rings drained into one stream ordered by trace_order.
 struct TraceCollection {
   std::vector<CollectedTraceEvent> events;
   std::uint64_t recorded = 0;  ///< events ever recorded, across all rings
@@ -174,59 +132,28 @@ struct TraceCollection {
 /// Owns the rings.  No global instance — each pipeline/engine is handed one
 /// explicitly, like obs::Registry.  The tracer must outlive every thread
 /// still recording into its rings.
-class Tracer {
+class Tracer : private WriterRingSet<TraceRing> {
  public:
   explicit Tracer(const TracerOptions& options = {});
 
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  /// The ring for logical thread `tid`, created on first use.  The caller
-  /// guarantees a single concurrent writer per tid — use distinct tids per
-  /// writer (the pipeline uses 0 = ingest, 1..S = shard workers, S+1.. =
-  /// pool workers).  Handles stay valid for the tracer's lifetime.
-  [[nodiscard]] TraceRing& ring(std::uint32_t tid);
-
-  /// The calling thread's own auto-registered ring (tids from 4096 up),
-  /// cached thread-locally — for recording sites that don't know a logical
-  /// thread identity (e.g. Monte Carlo chunks on pool workers).
-  [[nodiscard]] TraceRing& local_ring();
-
-  /// Convenience hot-path recording via local_ring().
-  void span_begin(const char* name) { local_ring().span_begin(name); }
-  void span_end(const char* name) { local_ring().span_end(name); }
-  void instant(const char* name, double value = 0.0) { local_ring().instant(name, value); }
-  void counter(const char* name, double value) { local_ring().counter(name, value); }
-
-  /// False in synthetic-clock mode; timing-dependent recording sites (queue
-  /// waits, backpressure stalls) skip recording when this is false so
-  /// synthetic traces are scheduling-independent.
-  [[nodiscard]] bool wall_clock() const noexcept {
-    return options_.clock == TraceClock::Wall;
-  }
-
-  [[nodiscard]] const TracerOptions& options() const noexcept { return options_; }
+  /// ring(tid): the ring for logical thread `tid` (the pipeline uses
+  /// 0 = ingest, 1..S = shard workers, S+1.. = pool workers).
+  /// local_ring(): the calling thread's auto-registered ring, for recording
+  /// sites that don't know a logical thread identity (e.g. Monte Carlo
+  /// chunks on pool workers).  wall_clock(): false in synthetic mode.
+  using WriterRingSet::local_ring;
+  using WriterRingSet::ring;
+  using WriterRingSet::wall_clock;
 
   /// Drains every ring into one (tick, tid, seq)-ordered stream.  Safe to
   /// call while writers are quiescent; a concurrently recording ring yields
   /// a consistent prefix of its stream (events published before the drain).
   [[nodiscard]] TraceCollection collect() const;
-
- private:
-  [[nodiscard]] TraceRing& ring_locked(std::uint32_t tid);
-
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<TraceRing>> rings_;
-  TracerOptions options_;
-  std::size_t ring_capacity_ = 0;  ///< options_.buffer_events, normalized
-  std::chrono::steady_clock::time_point start_;
-  std::uint64_t epoch_ = 0;  ///< process-unique id validating TLS caches
-  std::uint32_t next_auto_tid_;
 };
 
 /// First auto-assigned tid for local_ring(); explicit ring() tids should
 /// stay below it.
-inline constexpr std::uint32_t kTraceAutoTidBase = 4096;
+inline constexpr std::uint32_t kTraceAutoTidBase = kAutoWriterBase;
 
 /// RAII span: begin on construction, end on destruction.  Null sink = no-op,
 /// so call sites stay branch-light: `SpanGuard g(shard.trace, "shard_batch")`.

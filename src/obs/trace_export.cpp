@@ -71,6 +71,30 @@ bool extract_double(const std::string& line, const char* key, double& out) {
   return ec == std::errc() && p != begin;
 }
 
+/// The name a journal event renders under in the Chrome export.
+const char* instant_name(const CollectedEvent& event) noexcept {
+  switch (event.type) {
+    case EventType::DegradeStep: return "backend_degrade";
+    case EventType::HostRemoved:
+      return event.b == 1 ? "failure_removal" : to_string(event.type);
+    case EventType::FaultClauseFired:
+      switch (static_cast<FaultKind>(event.a)) {
+        case FaultKind::WorkerKill: return "worker_killed";
+        case FaultKind::WorkerStall: return "fault_stall";
+        case FaultKind::RecordCorrupt: return "fault_corrupt";
+        case FaultKind::WorkerRespawn: return "worker_respawned";
+        default: return to_string(event.type);
+      }
+    case EventType::OverloadTransition: {
+      // b is the new ShardHealth rung: healthy, degraded, shedding.
+      static constexpr const char* kRungs[] = {"health_healthy", "health_degraded",
+                                               "health_shedding"};
+      return event.b < 3 ? kRungs[event.b] : to_string(event.type);
+    }
+    default: return to_string(event.type);
+  }
+}
+
 struct SpanAggregate {
   std::unique_ptr<Histogram> histogram;
   std::uint64_t count = 0;
@@ -92,6 +116,19 @@ const InstantStats* TraceSummary::find_instant(const std::string& name) const no
     if (s.name == name) return &s;
   }
   return nullptr;
+}
+
+TraceCollection merge_journal(TraceCollection trace, const EventCollection& journal) {
+  WORMS_EXPECTS(trace.clock == journal.clock && "trace and journal clocks differ");
+  for (const CollectedEvent& ev : journal.events) {
+    const std::uint64_t subject = ev.type == EventType::FaultClauseFired ? ev.b : ev.a;
+    trace.events.push_back({ev.tick, ev.seq, instant_name(ev), static_cast<double>(subject),
+                            ev.writer, TraceEventKind::Instant});
+  }
+  std::stable_sort(trace.events.begin(), trace.events.end(), trace_order);
+  trace.recorded += journal.recorded;
+  trace.dropped += journal.dropped;
+  return trace;
 }
 
 std::string render_chrome_trace(const TraceCollection& collection) {

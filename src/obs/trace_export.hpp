@@ -11,6 +11,10 @@
 //     the fields this exporter writes, so `wormctl trace summarize` works on
 //     any file wormctl produced.
 //
+//   * merge_journal — folds an event journal into a trace collection, one
+//     instant per journal event, so the state transitions the journal
+//     records appear on the trace timeline without being recorded twice.
+//
 //   * summarize_trace — per-span-name count / total / p50 / p99 built on the
 //     same log₂ obs::Histogram the metrics layer exports, so a trace summary
 //     and a `fleet_*_seconds` histogram bucket the same durations the same
@@ -22,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/event_log.hpp"
 #include "obs/trace.hpp"
 
 namespace worms::obs {
@@ -33,6 +38,18 @@ namespace worms::obs {
 /// name/ph/ts/tid in that shape).  Throws support::PreconditionError on a
 /// file that is not a Chrome trace; skips metadata phases it doesn't model.
 [[nodiscard]] TraceCollection parse_chrome_trace(const std::string& json);
+
+/// `trace` with every journal event added as an instant: tick as stamped,
+/// tid = writer id (the pipeline's writer ids match its ring tids), value =
+/// the event's subject (b for FaultClauseFired — the shard or worker — else
+/// a), and as name the one the transition's trace instant carried before the
+/// journal became its only record (backend_degrade, fault_corrupt,
+/// fault_stall, worker_killed, worker_respawned, failure_removal, health_*),
+/// else the journal type name (HostRemoved, CheckpointWrite, ...).  The result is re-ordered by (tick, tid, seq),
+/// trace events first on a tie; recorded/dropped add up.  Both must be on
+/// the same clock.
+[[nodiscard]] TraceCollection merge_journal(TraceCollection trace,
+                                            const EventCollection& journal);
 
 /// Aggregated durations of one span name across all threads.  Quantiles are
 /// log₂-bucket upper bounds (see obs::HistogramSnapshot::quantile): the true

@@ -310,22 +310,6 @@ TEST(FleetPipeline, ValidatesConfig) {
   EXPECT_THROW(ContainmentPipeline p(cfg), support::PreconditionError);
 }
 
-TEST(FleetPipeline, SpscAndMpscTransportsProduceIdenticalVerdicts) {
-  // The transport moves batches; it must be invisible in every output.  Runs
-  // at several shard counts with a small ring so backpressure really engages
-  // on both implementations.
-  for (const unsigned shards : {1u, 2u, 4u}) {
-    auto cfg = base_config(CounterBackend::Exact, shards);
-    cfg.queue_capacity = 2;
-    cfg.transport = Transport::Spsc;
-    const auto spsc = ContainmentPipeline::run(cfg, clean_trace());
-    cfg.transport = Transport::Mpsc;
-    const auto mpsc = ContainmentPipeline::run(cfg, clean_trace());
-    EXPECT_EQ(spsc.verdicts, mpsc.verdicts) << "shards=" << shards;
-    EXPECT_EQ(spsc.metrics.records_processed, mpsc.metrics.records_processed);
-  }
-}
-
 TEST(FleetPipeline, RecordSourceFeedMatchesVectorFeed) {
   // The streaming ingest path (pull blocks from a RecordSource) must be
   // byte-for-byte equivalent to materialize-then-feed.

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/event_log.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
@@ -62,6 +63,12 @@ PipelineOptions trace_config() {
   return options;
 }
 
+[[nodiscard]] obs::EventLogOptions synthetic_journal_options() {
+  obs::EventLogOptions options;
+  options.clock = obs::TraceClock::Synthetic;
+  return options;
+}
+
 /// One traced synthetic-clock run with deterministic faults.
 struct TracedRun {
   PipelineResult result;
@@ -70,15 +77,17 @@ struct TracedRun {
 
 TracedRun run_synthetic(const std::string& checkpoint_path) {
   obs::Tracer tracer(synthetic_options());
+  obs::EventLog journal(synthetic_journal_options());
   auto cfg = trace_config();
   cfg.tracer = &tracer;
+  cfg.events = &journal;
   cfg.checkpoint_path = checkpoint_path;
   cfg.checkpoint_every = 1000;
   cfg.faults.degrades.push_back({.shard = 0, .after_batches = 1});
   cfg.faults.corrupt_records = {40, 41};
   TracedRun out;
   out.result = ContainmentPipeline::run(cfg, small_trace());
-  out.collection = tracer.collect();
+  out.collection = obs::merge_journal(tracer.collect(), journal.collect());
   return out;
 }
 
@@ -165,8 +174,10 @@ TEST(FleetTrace, TracingIsObservationalOnly) {
 TEST(FleetTrace, WallClockTraceCapturesKillRespawnAndOverloadLadder) {
   WORMS_REQUIRE_OBS();
   obs::Tracer tracer;  // wall clock
+  obs::EventLog journal;
   auto cfg = trace_config();
   cfg.tracer = &tracer;
+  cfg.events = &journal;
   cfg.batch_size = 64;
   cfg.queue_capacity = 8;
   cfg.faults.kills.push_back({.shard = 0, .after_batches = 2});
@@ -176,7 +187,8 @@ TEST(FleetTrace, WallClockTraceCapturesKillRespawnAndOverloadLadder) {
   cfg.overload.shed_watermark = 0.0;
   cfg.overload.sustain_pushes = 1;
   const auto result = ContainmentPipeline::run(cfg, small_trace());
-  const obs::TraceSummary summary = obs::summarize_trace(tracer.collect());
+  const obs::TraceSummary summary =
+      obs::summarize_trace(obs::merge_journal(tracer.collect(), journal.collect()));
 
   const obs::InstantStats* killed = summary.find_instant("worker_killed");
   ASSERT_NE(killed, nullptr);
@@ -193,6 +205,41 @@ TEST(FleetTrace, WallClockTraceCapturesKillRespawnAndOverloadLadder) {
   ASSERT_NE(shard, nullptr);
   EXPECT_GT(shard->count, 0u);
   EXPECT_GT(shard->total_seconds, 0.0);
+}
+
+TEST(FleetTrace, SyntheticTraceOmitsTimingDependentTransitions) {
+  WORMS_REQUIRE_OBS();
+  // The wall-clock ladder run above, on the synthetic clock: the kill fires
+  // at a fixed batch count and stays on the timeline, but the overload
+  // transitions and the respawn happen whenever the ingest thread samples a
+  // queue or notices the dead worker, so a synthetic trace has none of them.
+  obs::Tracer tracer(synthetic_options());
+  obs::EventLog journal(synthetic_journal_options());
+  auto cfg = trace_config();
+  cfg.tracer = &tracer;
+  cfg.events = &journal;
+  cfg.batch_size = 64;
+  cfg.queue_capacity = 8;
+  cfg.faults.kills.push_back({.shard = 0, .after_batches = 2});
+  cfg.overload.degrade_watermark = 0.0;
+  cfg.overload.shed_watermark = 0.0;
+  cfg.overload.sustain_pushes = 1;
+  const auto result = ContainmentPipeline::run(cfg, small_trace());
+  ASSERT_EQ(result.metrics.workers_killed, 1u);
+  ASSERT_GE(result.metrics.workers_respawned, 1u);
+
+  const obs::TraceCollection trace = tracer.collect();
+  const obs::TraceSummary traced = obs::summarize_trace(trace);
+  const obs::TraceSummary merged =
+      obs::summarize_trace(obs::merge_journal(trace, journal.collect()));
+  for (const char* name :
+       {"health_healthy", "health_degraded", "health_shedding", "worker_respawned"}) {
+    EXPECT_EQ(traced.find_instant(name), nullptr) << name;
+    EXPECT_EQ(merged.find_instant(name), nullptr) << name;
+  }
+  const obs::InstantStats* killed = merged.find_instant("worker_killed");
+  ASSERT_NE(killed, nullptr);
+  EXPECT_EQ(killed->count, 1u);
 }
 
 TEST(FleetTrace, RestoreRecordsCheckpointRestoreSpan) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,6 +101,36 @@ TEST(ObsEventLog, LocalWriterIdsStartAtAutoBaseAndAreDistinctPerThread) {
   const EventCollection c = log.collect();
   ASSERT_EQ(c.events.size(), 1u);
   EXPECT_EQ(c.events[0].writer, other_id);
+}
+
+TEST(ObsEventLog, CollectWhileEmittingYieldsConsistentPrefix) {
+  if (!kEnabled) GTEST_SKIP() << "built with WORMS_OBS=OFF";
+  EventLog log(synthetic_options(1u << 14));
+  EventWriter& writer = log.writer(1);
+  std::atomic<bool> stop{false};
+  std::thread emitter([&writer, &stop] {
+    std::uint64_t i = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      writer.emit(EventType::HostRemoved, i, i, i);
+      ++i;
+    }
+  });
+  while (writer.recorded() == 0) std::this_thread::yield();
+  for (int round = 0; round < 50; ++round) {
+    const EventCollection c = log.collect();
+    // Every drained event was fully published: each field is the writer's
+    // dense counter at that event, never a mix of two laps.
+    for (const CollectedEvent& ev : c.events) {
+      EXPECT_EQ(ev.type, EventType::HostRemoved);
+      EXPECT_EQ(ev.tick, ev.seq);
+      EXPECT_EQ(ev.position, ev.seq);
+      EXPECT_EQ(ev.a, ev.seq);
+      EXPECT_EQ(ev.b, ev.seq);
+    }
+    EXPECT_EQ(c.recorded, c.events.size() + c.dropped);
+  }
+  stop.store(true);
+  emitter.join();
 }
 
 TEST(ObsEventLog, EventTypeNamesRoundTrip) {

@@ -189,6 +189,71 @@ TEST(ObsTraceExport, ChromeRenderParsesBackLossless) {
   }
 }
 
+TEST(ObsTraceExport, JournalEventsRenderAsNamedInstantsOnWriterTids) {
+  WORMS_REQUIRE_OBS();
+  Tracer tracer(synthetic_options());
+  tracer.ring(0).span_begin("ingest_batch");
+  tracer.ring(0).span_end("ingest_batch");
+  EventLogOptions journal_options;
+  journal_options.clock = TraceClock::Synthetic;
+  EventLog journal(journal_options);
+  journal.writer(1).emit(EventType::DegradeStep, 64, 0, 1);
+  journal.writer(0).emit(EventType::FaultClauseFired, 40,
+                         static_cast<std::uint64_t>(FaultKind::RecordCorrupt), 3);
+  journal.writer(0).emit(EventType::OverloadTransition, 90, 2, 2);
+  journal.writer(0).emit(EventType::CheckpointWrite, 80, 1, 512);
+
+  const TraceCollection merged = merge_journal(tracer.collect(), journal.collect());
+  EXPECT_EQ(merged.recorded, 6u);
+  EXPECT_EQ(merged.dropped, 0u);
+  ASSERT_EQ(merged.events.size(), 6u);
+  for (std::size_t i = 1; i < merged.events.size(); ++i) {
+    EXPECT_FALSE(trace_order(merged.events[i], merged.events[i - 1])) << i;
+  }
+
+  const TraceCollection parsed = parse_chrome_trace(render_chrome_trace(merged));
+  ASSERT_EQ(parsed.events.size(), merged.events.size());
+  const auto find = [&parsed](const std::string& name) -> const CollectedTraceEvent* {
+    for (const CollectedTraceEvent& ev : parsed.events) {
+      if (ev.name == name) return &ev;
+    }
+    return nullptr;
+  };
+  const CollectedTraceEvent* degrade = find("backend_degrade");
+  ASSERT_NE(degrade, nullptr);
+  EXPECT_EQ(degrade->kind, TraceEventKind::Instant);
+  EXPECT_EQ(degrade->tid, 1u);
+  EXPECT_DOUBLE_EQ(degrade->value, 0.0);  // the degraded shard
+  const CollectedTraceEvent* corrupt = find("fault_corrupt");
+  ASSERT_NE(corrupt, nullptr);
+  EXPECT_EQ(corrupt->tid, 0u);
+  EXPECT_DOUBLE_EQ(corrupt->value, 3.0);  // the shard the record was bound for
+  const CollectedTraceEvent* shedding = find("health_shedding");
+  ASSERT_NE(shedding, nullptr);
+  EXPECT_DOUBLE_EQ(shedding->value, 2.0);
+  ASSERT_NE(find("CheckpointWrite"), nullptr);  // no trace name: journal type name
+
+  const TraceSummary summary = summarize_trace(parsed);
+  for (const char* name : {"backend_degrade", "fault_corrupt", "health_shedding",
+                           "CheckpointWrite"}) {
+    const InstantStats* s = summary.find_instant(name);
+    ASSERT_NE(s, nullptr) << name;
+    EXPECT_EQ(s->count, 1u) << name;
+  }
+  const SpanStats* ingest = summary.find_span("ingest_batch");
+  ASSERT_NE(ingest, nullptr);
+  EXPECT_EQ(ingest->count, 1u);
+}
+
+TEST(ObsTraceExport, MergeJournalRejectsAClockMismatch) {
+  Tracer tracer;  // wall clock
+  EventLogOptions journal_options;
+  journal_options.clock = TraceClock::Synthetic;
+  EventLog journal(journal_options);
+  EXPECT_THROW((void)merge_journal(tracer.collect(), journal.collect()),
+               support::PreconditionError);
+}
+
 TEST(ObsTraceExport, WallTimestampRoundtripIsExactForNanosecondTicks) {
   // ts is rendered as microseconds with 3 decimals, so nanosecond ticks
   // survive the µs detour exactly.

@@ -1,7 +1,6 @@
 # End-to-end determinism of the binary ingest path: one synthetic trace,
 # containment verdicts written as CSV, and every axis — input format
-# (CSV vs .wtrace), transport (SPSC ring vs MPSC queue), shard count
-# {1, 2, 4}, and checkpoint/resume over the binary file — must produce a
+# (CSV vs .wtrace), shard count {1, 2, 4}, and checkpoint/resume over the binary file — must produce a
 # byte-identical verdict table.  Also pins the conversion fixed point:
 # CSV -> .wtrace -> CSV -> .wtrace reproduces the first binary byte for byte.
 
@@ -49,11 +48,6 @@ foreach(shards 1 2 4)
       --shards ${shards} --verdicts-out ${WORKDIR}/v_bin_${shards}.csv)
   expect_same(${WORKDIR}/v_base.csv ${WORKDIR}/v_bin_${shards}.csv
               "binary verdicts diverge at shards=${shards}")
-  run(ignored ${WORMCTL} contain --trace ${bin_file} --budget 400
-      --shards ${shards} --transport mpsc
-      --verdicts-out ${WORKDIR}/v_mpsc_${shards}.csv)
-  expect_same(${WORKDIR}/v_base.csv ${WORKDIR}/v_mpsc_${shards}.csv
-              "MPSC verdicts diverge at shards=${shards}")
 endforeach()
 
 # The binary path must actually stream from the file (mmap, no materialize).

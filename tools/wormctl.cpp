@@ -33,7 +33,6 @@
 //              [--counter exact|hll|compact] [--hll-precision 12]
 //              [--compact-bits-per-host 8] [--compact-virtual-registers 128]
 //              [--compact-expected-hosts 1048576] [--failure-budget 0]
-//              [--transport spsc|mpsc]
 //              [--inject-worm RATE,SCANS,I0] [--seed 1]
 //              [--divergence] [--hosts 1645] [--days 30]
 //              [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]
@@ -47,11 +46,8 @@
 //              [--events-clock wall|synthetic] [--node-id N]
 //              (--trace FILE accepts CSV or .wtrace — the format is sniffed
 //              from the file's magic, and a binary trace streams zero-copy
-//              from an mmap; --transport selects the shard-queue
-//              implementation (lock-free SPSC ring by default, the classic
-//              mutex MPSC queue for A/B runs) — verdicts are bit-identical
-//              either way; --verdicts-out writes the per-host verdict table
-//              as deterministic CSV)
+//              from an mmap; --verdicts-out writes the per-host verdict
+//              table as deterministic CSV)
 //              (--shards 0 = one worker per hardware thread; --inject-worm
 //              overlays I0 infected hosts scanning at RATE scans/s for up to
 //              SCANS scans each; --divergence runs exact AND hll and reports
@@ -81,12 +77,15 @@
 //              vacant).  --trace-buffer-events bounds the per-thread ring
 //              (oldest events are overwritten); --trace-clock synthetic
 //              stamps logical sequence numbers instead of nanoseconds, for
-//              byte-reproducible traces.  --metrics - streams the export to
-//              stdout instead of a file; --metrics-listen PORT serves live
-//              HTTP/1.0 `GET /metrics` scrapes on 127.0.0.1:PORT for the
-//              whole run — every response is a fresh atomic Registry
-//              snapshot, so a Prometheus scraper watches the containment run
-//              in flight.  --events FILE turns on the structured event
+//              byte-reproducible traces.  A traced run also keeps the event
+//              journal (the --events one, else an in-memory one on the
+//              trace's clock) and renders its transitions into the trace as
+//              instants, so --trace-clock and --events-clock must agree.
+//              --metrics - streams the export to stdout instead of a file;
+//              --metrics-listen PORT serves live HTTP/1.0 `GET /metrics`
+//              scrapes on 127.0.0.1:PORT for the whole run — every response
+//              is a fresh atomic Registry snapshot, so a Prometheus scraper
+//              watches the containment run in flight.  --events FILE turns on the structured event
 //              journal: every degrade step, checkpoint write/restore,
 //              host removal, and fault-clause firing is appended (wait-free,
 //              a few tens of ns) and exported as JSONL; --events-clock
@@ -594,11 +593,6 @@ int cmd_contain(const support::CliArgs& args) {
       args.get_u64("compact-expected-hosts", cfg.compact.expected_hosts);
   cfg.compact.validate();  // bad geometry fails here, at parse time
   cfg.failure_budget = args.get_u64("failure-budget", 0);
-  const std::string transport = args.get_string("transport", "spsc");
-  WORMS_EXPECTS((transport == "spsc" || transport == "mpsc") &&
-                "--transport must be spsc or mpsc");
-  cfg.transport =
-      transport == "mpsc" ? fleet::Transport::Mpsc : fleet::Transport::Spsc;
   const std::string verdicts_out = args.get_string("verdicts-out", "");
   WORMS_EXPECTS(!(args.has("verdicts-out") && verdicts_out == "true") &&
                 "--verdicts-out requires a file path");
@@ -645,9 +639,6 @@ int cmd_contain(const support::CliArgs& args) {
     std::fflush(stdout);
   }
 
-  const std::string events_path = wormctl::parse_events_path(args);
-  obs::EventLog events(wormctl::parse_event_log_options(args));
-  if (!events_path.empty()) cfg.events = &events;
   cfg.node_id = args.get_u64("node-id", 0);
   const auto export_metrics = [&] {
     const obs::MetricsSnapshot snap = registry.snapshot();
@@ -675,6 +666,17 @@ int cmd_contain(const support::CliArgs& args) {
                 "--trace-buffer-events and --trace-clock require --trace-out FILE");
   obs::Tracer tracer(tracer_options);
   if (!trace_out.empty()) cfg.tracer = &tracer;
+
+  // Event journal (--events).  A traced run always keeps one — the --events
+  // journal, else an in-memory one on the trace's clock — because the
+  // journal is the record of the state transitions the trace shows.
+  const std::string events_path = wormctl::parse_events_path(args);
+  obs::EventLogOptions event_options = wormctl::parse_event_log_options(args);
+  if (events_path.empty()) event_options.clock = tracer_options.clock;
+  WORMS_EXPECTS((trace_out.empty() || event_options.clock == tracer_options.clock) &&
+                "--trace-clock and --events-clock must agree when tracing with --events");
+  obs::EventLog events(event_options);
+  if (!events_path.empty() || !trace_out.empty()) cfg.events = &events;
 
   // Input format by magic sniff, not extension: a .wtrace file streams
   // zero-copy from the mmap (the conversion already fixed the time-sorted
@@ -774,7 +776,7 @@ int cmd_contain(const support::CliArgs& args) {
     std::printf("metrics written to %s (%s)\n", metrics_path.c_str(), metrics_format.c_str());
   }
   if (!trace_out.empty()) {
-    const obs::TraceCollection collection = tracer.collect();
+    const obs::TraceCollection collection = obs::merge_journal(tracer.collect(), events.collect());
     obs::write_trace_file(trace_out, obs::render_chrome_trace(collection));
     std::printf("trace: %zu event(s) retained (%llu overwritten), %s clock, written to %s\n",
                 collection.events.size(),
