@@ -1,36 +1,37 @@
 #include "fleet/checkpoint.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "support/check.hpp"
+#include "trace/binary_io.hpp"
 
 namespace worms::fleet {
 
-void BinaryWriter::put_f64(double v) {
-  const auto bits = std::bit_cast<std::uint64_t>(v);
-  put_u64(bits);
+void BinaryWriter::reserve(std::size_t bytes) {
+  if (buffer_.size() - size_ < bytes) buffer_.resize(size_ + bytes);
 }
 
-std::uint8_t BinaryReader::get_u8() {
-  require(1);
-  return static_cast<std::uint8_t>(data_[offset_++]);
+void BinaryWriter::grow(std::size_t bytes) {
+  buffer_.resize(std::max({size_ + bytes, buffer_.size() * 2, std::size_t{64}}));
 }
 
-double BinaryReader::get_f64() { return std::bit_cast<double>(get_u64()); }
+std::string BinaryWriter::take() && {
+  buffer_.resize(size_);
+  size_ = 0;
+  return std::move(buffer_);
+}
 
 void BinaryReader::get_bytes(void* out, std::size_t size) {
   require(size);
-  std::memcpy(out, data_.data() + offset_, size);
+  if (size != 0) std::memcpy(out, data_.data() + offset_, size);
   offset_ += size;
 }
 
-void BinaryReader::require(std::size_t bytes) const {
-  WORMS_EXPECTS(offset_ + bytes <= data_.size() && "truncated snapshot");
+void BinaryReader::truncated() {
+  support::precondition_failure("truncated snapshot", __FILE__, __LINE__);
 }
 
 std::uint64_t fnv1a64(std::string_view data) noexcept {
@@ -45,13 +46,12 @@ std::uint64_t fnv1a64(std::string_view data) noexcept {
 void write_snapshot_file(const std::string& path, std::string_view payload) {
   const std::string tmp = path + ".tmp";
   {
+    BinaryWriter trailer;
+    trailer.put_u64(trace::wtrace_checksum(payload.data(), payload.size()));
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     WORMS_EXPECTS(out.good() && "cannot open snapshot temp file");
     out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    const std::uint64_t checksum = fnv1a64(payload);
-    BinaryWriter trailer;
-    trailer.put_u64(checksum);
-    out.write(trailer.buffer().data(), static_cast<std::streamsize>(trailer.buffer().size()));
+    out.write(trailer.buffer().data(), static_cast<std::streamsize>(trailer.size()));
     out.flush();
     WORMS_ENSURES(out.good() && "snapshot write failed");
   }
@@ -61,16 +61,25 @@ void write_snapshot_file(const std::string& path, std::string_view payload) {
 }
 
 std::string read_snapshot_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   WORMS_EXPECTS(in.good() && "cannot open snapshot file");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string blob = std::move(buffer).str();
-  WORMS_EXPECTS(blob.size() >= 8 && "snapshot shorter than its checksum trailer");
+  const std::streamoff size = in.tellg();
+  WORMS_EXPECTS(size >= 8 && "snapshot shorter than its checksum trailer");
+  std::string blob(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  in.read(blob.data(), size);
+  WORMS_EXPECTS(in.gcount() == size && "snapshot file shrank while reading");
   const std::string_view payload(blob.data(), blob.size() - 8);
   BinaryReader trailer(std::string_view(blob).substr(blob.size() - 8));
   const std::uint64_t stored = trailer.get_u64();
-  WORMS_EXPECTS(stored == fnv1a64(payload) && "snapshot checksum mismatch");
+  // The trailer algorithm follows the payload's version field; a flipped
+  // version byte fails whichever check it selects.
+  std::uint16_t version = 0;
+  if (payload.size() >= 6) version = BinaryReader(payload.substr(4, 2)).get_u16();
+  const std::uint64_t expected = version == kSnapshotVersionFnv
+                                     ? fnv1a64(payload)
+                                     : trace::wtrace_checksum(payload.data(), payload.size());
+  WORMS_EXPECTS(stored == expected && "snapshot checksum mismatch");
   blob.resize(blob.size() - 8);
   return blob;
 }
@@ -79,10 +88,14 @@ void encode_counter(BinaryWriter& out, const DistinctCounter& counter) {
   out.put_u8(static_cast<std::uint8_t>(counter.backend()));
   switch (counter.backend()) {
     case CounterBackend::Exact: {
-      const auto& exact = static_cast<const ExactCounter&>(counter);
-      out.put_u64(exact.table().size());
-      exact.table().for_each(
-          [&out](worms::net::Ipv4Address addr, std::uint32_t) { out.put_u32(addr.value()); });
+      const worms::net::AddressTable& table = static_cast<const ExactCounter&>(counter).table();
+      out.put_u64(table.size());
+      if constexpr (std::endian::native == std::endian::little) {
+        table.copy_addresses(out.claim(4 * table.size()));
+      } else {
+        table.for_each(
+            [&out](worms::net::Ipv4Address addr, std::uint32_t) { out.put_u32(addr.value()); });
+      }
       break;
     }
     case CounterBackend::Hll: {
@@ -104,6 +117,19 @@ void encode_counter(BinaryWriter& out, const DistinctCounter& counter) {
       break;
     }
   }
+}
+
+std::size_t encoded_counter_bytes(const DistinctCounter& counter) noexcept {
+  switch (counter.backend()) {
+    case CounterBackend::Exact:
+      return 1 + 8 + 4 * static_cast<const ExactCounter&>(counter).table().size();
+    case CounterBackend::Hll:
+      return 1 + 1 + 4 * 8 +
+             static_cast<const HllCounter&>(counter).sketch().registers().size();
+    case CounterBackend::Compact:
+      return 1 + 3 * 8;
+  }
+  return 0;
 }
 
 std::unique_ptr<DistinctCounter> decode_counter(BinaryReader& in,

@@ -34,7 +34,7 @@ enum class DeadLetterReason : std::uint8_t {
   Duplicate,       ///< identical (timestamp, destination) to the host's previous record
   FrameBadMagic,   ///< wire frame header with wrong magic/version/type bytes
   FrameTruncated,  ///< connection ended mid-frame (short header or payload)
-  FrameChecksum,   ///< frame payload failed its FNV-1a-64 checksum
+  FrameChecksum,   ///< frame payload failed its wtrace_checksum
   FrameOversized,  ///< length prefix beyond net::kMaxFramePayload
 };
 

@@ -95,7 +95,7 @@ Endpoint parse_endpoint(std::string_view text) {
   Endpoint endpoint;
   endpoint.host = std::string(host);
   endpoint.port = static_cast<std::uint16_t>(port);
-  resolve_host(endpoint.host, text);  // validate eagerly, at flag-parse time
+  (void)resolve_host(endpoint.host, text);  // validate eagerly, at flag-parse time
   return endpoint;
 }
 

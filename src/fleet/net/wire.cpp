@@ -47,15 +47,15 @@ bool frame_type_known(std::uint8_t raw) noexcept {
 std::string encode_frame(FrameType type, std::string_view payload) {
   WORMS_EXPECTS(payload.size() <= kMaxFramePayload && "frame payload exceeds kMaxFramePayload");
   BinaryWriter out;
+  out.reserve(kFrameHeaderBytes + payload.size());
   out.put_u32(kFrameMagic);
   out.put_u8(kFrameVersion);
   out.put_u8(static_cast<std::uint8_t>(type));
   out.put_u16(0);  // reserved
   out.put_u32(static_cast<std::uint32_t>(payload.size()));
   out.put_u64(trace::wtrace_checksum(payload.data(), payload.size()));
-  std::string frame = out.buffer();
-  frame.append(payload);
-  return frame;
+  out.put_bytes(payload.data(), payload.size());
+  return std::move(out).take();
 }
 
 void FrameDecoder::append(const char* data, std::size_t size) {
@@ -156,7 +156,7 @@ std::string encode_hello(const HelloPayload& hello) {
   BinaryWriter out;
   out.put_u64(hello.client_id);
   out.put_u8(static_cast<std::uint8_t>(hello.kind));
-  return out.buffer();
+  return std::move(out).take();
 }
 
 HelloPayload decode_hello(std::string_view payload) {
@@ -173,7 +173,7 @@ HelloPayload decode_hello(std::string_view payload) {
 std::string encode_welcome(const WelcomePayload& welcome) {
   BinaryWriter out;
   out.put_u64(welcome.resume_position);
-  return out.buffer();
+  return std::move(out).take();
 }
 
 WelcomePayload decode_welcome(std::string_view payload) {
@@ -189,7 +189,7 @@ std::string encode_records(std::span<const trace::ConnRecord> records,
   BinaryWriter stamp;
   stamp.put_u64(node_id);
   stamp.put_u64(stream_position);
-  std::string payload = stamp.buffer();
+  std::string payload = std::move(stamp).take();
   const std::size_t base = payload.size();
   payload.resize(base + records.size() * trace::kWtraceRecordBytes);
   char* out = payload.data() + base;
@@ -225,7 +225,7 @@ std::string encode_alerts(std::span<const AlertEntry> alerts) {
     out.put_u32(a.host);
     out.put_f64(a.removal_time);
   }
-  return out.buffer();
+  return std::move(out).take();
 }
 
 std::vector<AlertEntry> decode_alerts(std::string_view payload) {
@@ -250,7 +250,7 @@ std::string encode_checkpoint(const CheckpointPayload& checkpoint) {
   }
   out.put_u64(checkpoint.snapshot.size());
   out.put_bytes(checkpoint.snapshot.data(), checkpoint.snapshot.size());
-  return out.buffer();
+  return std::move(out).take();
 }
 
 CheckpointPayload decode_checkpoint(std::string_view payload) {
@@ -274,7 +274,7 @@ CheckpointPayload decode_checkpoint(std::string_view payload) {
 std::string encode_bye(const ByePayload& bye) {
   BinaryWriter out;
   out.put_u64(bye.records_sent);
-  return out.buffer();
+  return std::move(out).take();
 }
 
 ByePayload decode_bye(std::string_view payload) {
@@ -338,7 +338,7 @@ std::string encode_stats_report(const StatsReportPayload& report) {
   out.put_u64(report.dead_letters_overflow);
   put_samples(out, report.counters);
   put_samples(out, report.gauges);
-  return out.buffer();
+  return std::move(out).take();
 }
 
 StatsReportPayload decode_stats_report(std::string_view payload) {

@@ -2,8 +2,8 @@
 //
 // Everything that crosses a node boundary — record batches, contained-host
 // alerts, checkpoint replication — travels in one frame shape: a fixed
-// 20-byte header carrying magic/version/type, a length prefix, and an
-// FNV-1a-64 checksum over the payload, followed by the payload itself.
+// 20-byte header carrying magic/version/type, a length prefix, and the
+// payload's trace::wtrace_checksum, followed by the payload itself.
 // TCP guarantees ordered bytes, not sane bytes: a peer speaking a different
 // protocol, a half-written buffer from a killed process, or a flipped bit in
 // transit must all be *detected and quarantined*, never fed to the pipeline.

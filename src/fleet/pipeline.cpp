@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -75,15 +76,23 @@ struct HostState {
 #endif
 }
 
+/// Bytes of one host's snapshot record before its counter: id, cycle, flags,
+/// last time, last destination, and seven u64/f64 verdict and tally fields.
+constexpr std::size_t kHostRecordBytes = 4 + 8 + 1 + 8 + 4 + 7 * 8;
+
 /// Quiesce barrier: one gate shared by a control task pushed to every shard
 /// queue.  FIFO order means a worker arriving at the gate has fully processed
-/// every batch fed before the quiesce began.
+/// every batch fed before the quiesce began.  Before arriving, each worker
+/// encodes its own hosts into its section, so a snapshot's largest part is
+/// encoded on every shard's thread at once.
 struct Gate {
-  explicit Gate(unsigned n) : remaining(n) {}
+  explicit Gate(unsigned n) : sections(n), remaining(n) {}
 
-  void arrive() {
+  /// `failure` is what encoding the shard's section threw, if anything.
+  void arrive(std::exception_ptr failure) {
     {
       std::lock_guard lock(mutex);
+      if (failure && !error) error = std::move(failure);
       --remaining;
     }
     cv.notify_all();
@@ -94,9 +103,11 @@ struct Gate {
     return cv.wait_for(lock, timeout, [&] { return remaining == 0; });
   }
 
+  std::vector<std::string> sections;  ///< one per shard, written by its worker
   std::mutex mutex;
   std::condition_variable cv;
   unsigned remaining;
+  std::exception_ptr error;  ///< first section encode failure
 };
 
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t x) noexcept {
@@ -136,12 +147,12 @@ std::vector<std::uint32_t> ContainmentVerdicts::removed_hosts() const {
 /// indices for line-accurate dead-letter diagnostics), or a control task — a
 /// quiesce gate or a pre-containment order.
 struct ContainmentPipeline::ShardTask {
-  Batch records;
-  std::vector<std::uint64_t> indices;  ///< parallel to records: feed order
-  std::shared_ptr<Gate> gate;
+  Batch records{};
+  std::vector<std::uint64_t> indices{};  ///< parallel to records: feed order
+  std::shared_ptr<Gate> gate{};
   /// Hosts to administratively remove (fleet alert gossip) — a control task,
   /// FIFO-ordered against record batches like the gate.
-  std::vector<std::uint32_t> pre_contain;
+  std::vector<std::uint32_t> pre_contain{};
 };
 
 /// Overload ladder state for one shard, owned by the ingest thread.
@@ -192,7 +203,13 @@ struct ContainmentPipeline::Shard {
         continue;
       }
       if (task->gate) {
-        task->gate->arrive();
+        std::exception_ptr failure;
+        try {
+          task->gate->sections[index] = encode_hosts();
+        } catch (...) {
+          failure = std::current_exception();
+        }
+        task->gate->arrive(std::move(failure));
         continue;
       }
       if (!task->pre_contain.empty()) {
@@ -481,6 +498,41 @@ struct ContainmentPipeline::Shard {
     }
   }
 
+  /// This shard's host records of a snapshot, in table order, in a buffer
+  /// sized once.  Runs on the worker thread at the quiesce gate.
+  [[nodiscard]] std::string encode_hosts() const {
+    std::size_t bytes = 0;
+    for (const auto& [id, h] : hosts) {
+      bytes += kHostRecordBytes + encoded_counter_bytes(h.counter());
+    }
+    BinaryWriter out;
+    out.reserve(bytes);
+    for (const auto& [id, h] : hosts) {
+      out.put_u32(id);
+      out.put_u64(h.cycle);
+      std::uint8_t flags = 0;
+      if (h.cycle_flagged) flags |= 1u;
+      if (h.verdict.flagged) flags |= 2u;
+      if (h.verdict.removed) flags |= 4u;
+      if (h.has_prev) flags |= 8u;
+      if (h.verdict.pre_contained) flags |= 16u;
+      if (h.verdict.removed_by_failures) flags |= 32u;
+      out.put_u8(flags);
+      out.put_f64(h.last_time);
+      out.put_u32(h.last_destination);
+      out.put_u64(h.verdict.records_seen);
+      out.put_u64(h.verdict.peak_distinct);
+      out.put_f64(h.verdict.flag_time);
+      out.put_f64(h.verdict.removal_time);
+      out.put_u64(h.verdict.failures_seen);
+      out.put_u64(h.verdict.peak_failures);
+      out.put_u64(h.cycle_failures);
+      encode_counter(out, h.counter());
+    }
+    WORMS_ENSURES(out.size() == bytes && "snapshot host section size mismatch");
+    return std::move(out).take();
+  }
+
   [[nodiscard]] std::uint64_t cycle_index(sim::SimTime now) const noexcept {
     return static_cast<std::uint64_t>(now / cycle_length);
   }
@@ -726,14 +778,7 @@ void ContainmentPipeline::feed(const trace::ConnRecord& record) {
   pending_indices_[s].push_back(index);
   last_routed_ = r;
   has_last_routed_ = true;
-  if (pending_[s].size() >= config_.batch_size) {
-    ShardTask task{std::move(pending_[s]), std::move(pending_indices_[s]), nullptr};
-    pending_[s] = Batch();
-    pending_[s].reserve(config_.batch_size);
-    pending_indices_[s] = std::vector<std::uint64_t>();
-    pending_indices_[s].reserve(config_.batch_size);
-    push_shard_task(s, std::move(task), /*sample_overload=*/true);
-  }
+  if (pending_[s].size() >= config_.batch_size) push_pending(s, /*sample_overload=*/true);
   maybe_auto_checkpoint();
   maybe_auto_export_metrics();
 }
@@ -796,14 +841,7 @@ void ContainmentPipeline::feed(std::span<const trace::ConnRecord> records) {
       pending_[s].push_back(r);
       pending_indices_[s].push_back(index);
       last = &r;
-      if (pending_[s].size() >= config_.batch_size) {
-        ShardTask task{std::move(pending_[s]), std::move(pending_indices_[s]), nullptr};
-        pending_[s] = Batch();
-        pending_[s].reserve(config_.batch_size);
-        pending_indices_[s] = std::vector<std::uint64_t>();
-        pending_indices_[s].reserve(config_.batch_size);
-        push_shard_task(s, std::move(task), /*sample_overload=*/true);
-      }
+      if (pending_[s].size() >= config_.batch_size) push_pending(s, /*sample_overload=*/true);
     }
     if (last != nullptr) {
       last_routed_ = *last;
@@ -833,6 +871,16 @@ void ContainmentPipeline::feed(trace::RecordSource& source) {
 void ContainmentPipeline::report_malformed(std::uint64_t source_line, std::string detail) {
   dead_letters_.report(
       {DeadLetterReason::Malformed, trace::ConnRecord{}, source_line, std::move(detail)});
+}
+
+void ContainmentPipeline::push_pending(unsigned shard_index, bool sample_overload) {
+  ShardTask task{.records = std::move(pending_[shard_index]),
+                 .indices = std::move(pending_indices_[shard_index])};
+  pending_[shard_index] = Batch();
+  pending_[shard_index].reserve(config_.batch_size);
+  pending_indices_[shard_index] = std::vector<std::uint64_t>();
+  pending_indices_[shard_index].reserve(config_.batch_size);
+  push_shard_task(shard_index, std::move(task), sample_overload);
 }
 
 void ContainmentPipeline::push_shard_task(unsigned shard_index, ShardTask task,
@@ -968,26 +1016,25 @@ void ContainmentPipeline::respawn_dead_workers() {
 
 void ContainmentPipeline::flush_batches() {
   for (unsigned s = 0; s < config_.shards; ++s) {
-    if (pending_[s].empty()) continue;
-    ShardTask task{std::move(pending_[s]), std::move(pending_indices_[s]), nullptr};
-    pending_[s] = Batch();
-    pending_indices_[s] = std::vector<std::uint64_t>();
-    push_shard_task(s, std::move(task), /*sample_overload=*/false);
+    if (!pending_[s].empty()) push_pending(s, /*sample_overload=*/false);
   }
 }
 
-void ContainmentPipeline::quiesce() {
+std::vector<std::string> ContainmentPipeline::quiesce() {
   flush_batches();
   auto gate = std::make_shared<Gate>(config_.shards);
   for (unsigned s = 0; s < config_.shards; ++s) {
-    push_shard_task(s, ShardTask{{}, {}, gate}, /*sample_overload=*/false);
+    push_shard_task(s, ShardTask{.gate = gate}, /*sample_overload=*/false);
   }
   // FIFO queues: once every worker has arrived, every record fed before this
   // call has been fully processed.  A fault can kill a worker with the gate
-  // still queued, so poll-and-respawn rather than wait unconditionally.
+  // still queued, so poll-and-respawn rather than wait unconditionally: the
+  // respawned worker encodes the section.
   while (!gate->wait_for(kWorkerPollInterval)) {
     respawn_dead_workers();
   }
+  if (gate->error) std::rethrow_exception(gate->error);
+  return std::move(gate->sections);
 }
 
 void ContainmentPipeline::maybe_auto_checkpoint() {
@@ -1013,32 +1060,18 @@ void ContainmentPipeline::maybe_auto_export_metrics() {
 }
 
 void ContainmentPipeline::write_checkpoint(const std::string& path) {
-  WORMS_EXPECTS(!finished_);
   WORMS_EXPECTS(!path.empty());
-  WORMS_TRACE_SPAN(trace_, "checkpoint_write");
-  const support::Stopwatch watch;
-  quiesce();
-  const std::string blob = encode_snapshot();
-  write_snapshot_file(path, blob);
-  ++checkpoints_written_;
-  last_checkpoint_position_ = records_fed_;
-  if (events_ != nullptr) {
-    events_->emit(obs::EventType::CheckpointWrite, records_fed_, checkpoints_written_,
-                  blob.size());
-  }
-  flush_ingest_counters();
-  if (obs_.checkpoints != nullptr) {
-    obs_.checkpoints->add(1);
-    obs_.checkpoint_seconds->record(watch.elapsed_seconds());
-  }
+  (void)take_snapshot(&path);
 }
 
-std::string ContainmentPipeline::snapshot_blob() {
+std::string ContainmentPipeline::snapshot_blob() { return take_snapshot(nullptr); }
+
+std::string ContainmentPipeline::take_snapshot(const std::string* path) {
   WORMS_EXPECTS(!finished_);
   WORMS_TRACE_SPAN(trace_, "checkpoint_write");
   const support::Stopwatch watch;
-  quiesce();
-  std::string blob = encode_snapshot();
+  std::string blob = encode_snapshot(quiesce());
+  if (path != nullptr) write_snapshot_file(*path, blob);
   ++checkpoints_written_;
   last_checkpoint_position_ = records_fed_;
   if (events_ != nullptr) {
@@ -1072,7 +1105,7 @@ void ContainmentPipeline::pre_contain(std::span<const std::uint32_t> hosts) {
   }
 }
 
-std::string ContainmentPipeline::encode_snapshot() const {
+std::string ContainmentPipeline::encode_snapshot(std::vector<std::string> host_sections) const {
   BinaryWriter out;
   out.put_u32(kSnapshotMagic);
   out.put_u16(kSnapshotVersion);
@@ -1139,6 +1172,12 @@ std::string ContainmentPipeline::encode_snapshot() const {
   std::sort(banks.begin(), banks.end(), [](const SketchBank* a, const SketchBank* b) {
     return a->bank_index() < b->bank_index();
   });
+  // The rest — banks, host count, and the shards' host sections — is sized
+  // now, so the buffer grows once.
+  std::size_t rest = 4 + 8;
+  for (const SketchBank* bank : banks) rest += 4 + 4 + 8 + 8 + bank->registers().size();
+  for (const std::string& section : host_sections) rest += section.size();
+  out.reserve(rest);
   out.put_u32(static_cast<std::uint32_t>(banks.size()));
   for (const SketchBank* bank : banks) {
     out.put_u32(bank->bank_index());
@@ -1148,38 +1187,22 @@ std::string ContainmentPipeline::encode_snapshot() const {
     out.put_bytes(bank->registers().data(), bank->registers().size());
   }
 
+  // Host records, in shard order and each shard's table order, as its worker
+  // encoded them at the gate.  Each section is freed once joined.
   out.put_u64(host_count);
-  for (const auto& shard : shards_) {
-    for (const auto& [id, h] : shard->hosts) {
-      out.put_u32(id);
-      out.put_u64(h.cycle);
-      std::uint8_t flags = 0;
-      if (h.cycle_flagged) flags |= 1u;
-      if (h.verdict.flagged) flags |= 2u;
-      if (h.verdict.removed) flags |= 4u;
-      if (h.has_prev) flags |= 8u;
-      if (h.verdict.pre_contained) flags |= 16u;
-      if (h.verdict.removed_by_failures) flags |= 32u;
-      out.put_u8(flags);
-      out.put_f64(h.last_time);
-      out.put_u32(h.last_destination);
-      out.put_u64(h.verdict.records_seen);
-      out.put_u64(h.verdict.peak_distinct);
-      out.put_f64(h.verdict.flag_time);
-      out.put_f64(h.verdict.removal_time);
-      out.put_u64(h.verdict.failures_seen);
-      out.put_u64(h.verdict.peak_failures);
-      out.put_u64(h.cycle_failures);
-      encode_counter(out, h.counter());
-    }
+  for (std::string& section : host_sections) {
+    out.put_bytes(section.data(), section.size());
+    std::string().swap(section);
   }
-  return out.buffer();
+  return std::move(out).take();
 }
 
 void ContainmentPipeline::decode_snapshot(const std::string& payload) {
   BinaryReader in(payload);
   WORMS_EXPECTS(in.get_u32() == kSnapshotMagic && "not a fleet pipeline snapshot");
-  WORMS_EXPECTS(in.get_u16() == kSnapshotVersion && "unsupported snapshot version");
+  const std::uint16_t version = in.get_u16();
+  WORMS_EXPECTS((version == kSnapshotVersion || version == kSnapshotVersionFnv) &&
+                "unsupported snapshot version");
   WORMS_EXPECTS(static_cast<CounterBackend>(in.get_u8()) == config_.backend &&
                 "snapshot counter backend differs from config");
   WORMS_EXPECTS(static_cast<int>(in.get_u8()) == config_.hll_precision &&
@@ -1436,23 +1459,71 @@ PipelineResult ContainmentPipeline::run(const PipelineOptions& options,
   return pipeline.finish();
 }
 
+namespace {
+
+/// Longest verdict CSV row: five u64 fields (20 digits), one u32, two
+/// doubles at precision 17 (24 characters), four 0/1 flags, 11 commas and
+/// the newline come to 194 bytes.
+constexpr std::size_t kMaxVerdictRow = 256;
+
+/// Formats one verdict row at `out`, which has room for kMaxVerdictRow
+/// bytes, and returns its end.  std::to_chars in general form at precision
+/// 17 is specified to print exactly what printf's %.17g prints.
+char* format_verdict_row(char* out, const HostVerdict& h, std::uint64_t node_id) {
+  char* const last = out + kMaxVerdictRow;
+  const auto field = [&](auto value) {
+    out = std::to_chars(out, last, value).ptr;
+    *out++ = ',';
+  };
+  const auto time = [&](double t) {
+    out = std::to_chars(out, last, t, std::chars_format::general, 17).ptr;
+    *out++ = ',';
+  };
+  const auto flag = [&](bool b) {
+    *out++ = b ? '1' : '0';
+    *out++ = ',';
+  };
+  field(h.host);
+  field(h.records_seen);
+  field(h.peak_distinct);
+  flag(h.flagged);
+  time(h.flag_time);
+  flag(h.removed);
+  time(h.removal_time);
+  flag(h.pre_contained);
+  field(h.failures_seen);
+  field(h.peak_failures);
+  flag(h.removed_by_failures);
+  out = std::to_chars(out, last, node_id).ptr;
+  *out++ = '\n';
+  return out;
+}
+
+}  // namespace
+
 void write_verdicts_csv(const std::string& path, const ContainmentVerdicts& v) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   WORMS_EXPECTS(f != nullptr && "cannot open verdicts CSV file");
-  std::fprintf(f,
-               "host,records_seen,peak_distinct,flagged,flag_time,removed,removal_time,"
-               "pre_contained,failures_seen,peak_failures,removed_by_failures,node\n");
+  // Rows are formatted into one buffer and written in 64 KiB blocks.
+  constexpr std::size_t kBlock = std::size_t{64} << 10;
+  std::string buffer(kBlock + kMaxVerdictRow, '\0');
+  constexpr std::string_view kHeader =
+      "host,records_seen,peak_distinct,flagged,flag_time,removed,removal_time,"
+      "pre_contained,failures_seen,peak_failures,removed_by_failures,node\n";
+  bool written = std::fwrite(kHeader.data(), 1, kHeader.size(), f) == kHeader.size();
+  char* const begin = buffer.data();
+  char* out = begin;
+  const auto flush = [&] {
+    const auto bytes = static_cast<std::size_t>(out - begin);
+    written = written && std::fwrite(begin, 1, bytes, f) == bytes;
+    out = begin;
+  };
   for (const HostVerdict& h : v.hosts) {
-    std::fprintf(f, "%u,%llu,%llu,%d,%.17g,%d,%.17g,%d,%llu,%llu,%d,%llu\n", h.host,
-                 static_cast<unsigned long long>(h.records_seen),
-                 static_cast<unsigned long long>(h.peak_distinct), h.flagged ? 1 : 0,
-                 h.flag_time, h.removed ? 1 : 0, h.removal_time, h.pre_contained ? 1 : 0,
-                 static_cast<unsigned long long>(h.failures_seen),
-                 static_cast<unsigned long long>(h.peak_failures),
-                 h.removed_by_failures ? 1 : 0,
-                 static_cast<unsigned long long>(v.node_id));
+    out = format_verdict_row(out, h, v.node_id);
+    if (static_cast<std::size_t>(out - begin) >= kBlock) flush();
   }
-  WORMS_ENSURES(std::fclose(f) == 0);
+  flush();
+  WORMS_ENSURES(std::fclose(f) == 0 && written && "verdicts CSV write failed");
 }
 
 }  // namespace worms::fleet

@@ -424,8 +424,12 @@ class ContainmentPipeline {
   void respawn(unsigned shard_index);
   void respawn_dead_workers();
   void push_shard_task(unsigned shard_index, ShardTask task, bool sample_overload);
+  /// Pushes the shard's pending batch and starts a fresh one.
+  void push_pending(unsigned shard_index, bool sample_overload);
   void observe_overload(unsigned shard_index, double fill_fraction);
-  void quiesce();
+  /// Waits until every shard has processed all records fed so far, and
+  /// returns each shard's host section of a snapshot, encoded by its worker.
+  [[nodiscard]] std::vector<std::string> quiesce();
   void flush_batches();
   /// Bank-colocated routing: all hosts of one shared-pool bank map to the
   /// same shard, so a bank's register contents are independent of the shard
@@ -437,7 +441,10 @@ class ContainmentPipeline {
   void maybe_auto_export_metrics();
   [[nodiscard]] trace::ConnRecord corrupted(const trace::ConnRecord& record,
                                             std::uint64_t index) const;
-  [[nodiscard]] std::string encode_snapshot() const;
+  /// Quiesces, encodes a snapshot, writes it to `*path` when non-null, and
+  /// counts it — the body of write_checkpoint() and snapshot_blob().
+  [[nodiscard]] std::string take_snapshot(const std::string* path);
+  [[nodiscard]] std::string encode_snapshot(std::vector<std::string> host_sections) const;
   void decode_snapshot(const std::string& payload);
 
   PipelineOptions config_;
@@ -471,9 +478,10 @@ class ContainmentPipeline {
 };
 
 /// Deterministic verdict export: one CSV row per host, ascending host id,
-/// times printed with %.17g so equal doubles render identically — two runs
-/// produce byte-identical files exactly when their verdicts are bit-identical
-/// (the cross-format/cross-shard/failover determinism tests compare these).
+/// times printed as printf's %.17g prints them (std::to_chars general form,
+/// precision 17) so equal doubles render identically — two runs produce
+/// byte-identical files exactly when their verdicts are bit-identical (the
+/// cross-format/cross-shard/failover determinism tests compare these).
 /// Shared by `wormctl contain` and `wormctl serve`.
 void write_verdicts_csv(const std::string& path, const ContainmentVerdicts& verdicts);
 

@@ -1,6 +1,7 @@
 #include "net/address_table.hpp"
 
 #include <bit>
+#include <cstring>
 #include <utility>
 
 namespace worms::net {
@@ -18,6 +19,16 @@ AddressTable::AddressTable(std::size_t expected_entries) {
   const std::size_t cap = table_capacity_for(expected_entries);
   slots_.assign(cap, Slot{});
   shift_ = 64 - static_cast<unsigned>(std::countr_zero(cap));
+}
+
+void AddressTable::copy_addresses(char* out) const noexcept {
+  // The loop stops at the size()-th occupied slot, so every copy lands
+  // inside out[0, 4 * size()).
+  std::size_t written = 0;
+  for (std::size_t i = 0; written < size_; ++i) {
+    std::memcpy(out + 4 * written, &slots_[i].addr, 4);
+    written += slots_[i].id != kNotFound ? 1 : 0;
+  }
 }
 
 bool AddressTable::insert(Ipv4Address address, std::uint32_t id) {

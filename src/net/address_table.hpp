@@ -59,6 +59,12 @@ class AddressTable {
   /// hook for checkpointing per-host distinct-destination sets.  Slot order is
   /// deterministic for a given insertion history; consumers that need a
   /// canonical order must sort.
+  /// Writes the 4-byte native image of every stored address, in for_each's
+  /// slot order, to out[0, 4 * size()) — the checkpoint codec's bulk path.
+  /// Branch-free over the slot array: each slot is copied, and the cursor
+  /// advances only past occupied ones.
+  void copy_addresses(char* out) const noexcept;
+
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Slot& slot : slots_) {

@@ -2,11 +2,15 @@
 // equivalence sweep (snapshot at every boundary, "crash", restore, replay the
 // suffix — verdicts must be bit-identical to an uninterrupted run, for any
 // shard count and either counter backend), snapshot integrity (checksum and
-// config-mismatch rejection), and the auto-checkpoint resume flow.
+// config-mismatch rejection), the auto-checkpoint resume flow, and the
+// snapshot codec itself: byte-stable images from the per-shard encode at the
+// quiesce gate, the v3 payload's unchanged layout, and v2 files and blobs
+// that still restore.
 #include "fleet/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <span>
@@ -331,6 +335,149 @@ TEST(FleetCheckpoint, BlobRestoreThenPreContainKeepsDeterminism) {
     EXPECT_TRUE(verdict->removed);
     EXPECT_TRUE(verdict->pre_contained);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot codec.  Every worker encodes its own hosts at the quiesce gate and
+// the ingest thread joins the sections in shard order; version 3 changed only
+// the file trailer.
+
+/// The codec tests' configuration for one backend: the sweep's policy, with
+/// the overload ladder held off so that no record is shed — the snapshot
+/// header's shed/suppressed split follows queue timing, not the stream.
+PipelineOptions codec_config(CounterBackend backend, unsigned shards) {
+  auto cfg = sweep_config(backend, shards);
+  cfg.compact.bits_per_host = 16;
+  cfg.compact.expected_hosts = 1u << 20;
+  cfg.overload.degrade_watermark = 2.0;
+  cfg.overload.shed_watermark = 2.0;
+  return cfg;
+}
+
+/// The snapshot image after the first half of the sweep trace.
+std::string half_stream_blob(const PipelineOptions& cfg) {
+  const std::span<const trace::ConnRecord> records(sweep_trace());
+  ContainmentPipeline pipeline(cfg);
+  pipeline.feed(records.first(records.size() / 2));
+  return pipeline.snapshot_blob();
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+constexpr CounterBackend kAllBackends[] = {CounterBackend::Exact, CounterBackend::Hll,
+                                          CounterBackend::Compact};
+
+TEST(FleetCheckpoint, SnapshotBlobIsByteStableAcrossRunsAndWorkerKills) {
+  // The image must not depend on which worker reaches the gate first, nor
+  // on a worker killed before the gate: its respawned successor encodes the
+  // section.  The kill fires after two batches, well before the half-stream
+  // gate at any of these shard counts.
+  for (const CounterBackend backend : kAllBackends) {
+    for (const unsigned shards : {2u, 4u}) {
+      const auto cfg = codec_config(backend, shards);
+      const std::string reference = half_stream_blob(cfg);
+      for (int run = 1; run < 10; ++run) {
+        ASSERT_TRUE(half_stream_blob(cfg) == reference)
+            << to_string(backend) << " shards=" << shards << " run=" << run;
+      }
+      auto killed = cfg;
+      killed.faults.kills.push_back({.shard = shards - 1, .after_batches = 2});
+      ASSERT_TRUE(half_stream_blob(killed) == reference)
+          << to_string(backend) << " shards=" << shards << " with a worker kill";
+    }
+  }
+}
+
+TEST(FleetCheckpoint, V3PayloadKeepsTheV2Layout) {
+  // With its version field set back to 2, a v3 payload is byte for byte what
+  // the v2 encoder (one serial loop over the shards on the ingest thread)
+  // wrote.  The sizes and FNV-1a-64 digests were taken from that encoder at
+  // the same stream position and configuration.
+  struct Pin {
+    CounterBackend backend;
+    unsigned shards;
+    std::size_t size;
+    std::uint64_t fnv;
+  };
+  constexpr Pin kPins[] = {
+      {CounterBackend::Exact, 2, 73'318, 0x239a42bcc7fcf98bull},
+      {CounterBackend::Exact, 4, 73'318, 0x870097865ac51f1dull},
+      {CounterBackend::Hll, 2, 2'459'386, 0xa20d9b36e933489dull},
+      {CounterBackend::Compact, 4, 1'272'114, 0xfa72d3ebecde271dull},
+  };
+  for (const Pin& pin : kPins) {
+    std::string payload = half_stream_blob(codec_config(pin.backend, pin.shards));
+    ASSERT_GE(payload.size(), 6u);
+    EXPECT_EQ(payload[4], static_cast<char>(kSnapshotVersion));
+    EXPECT_EQ(payload[5], 0);
+    payload[4] = 2;
+    EXPECT_EQ(payload.size(), pin.size) << to_string(pin.backend) << " shards=" << pin.shards;
+    EXPECT_EQ(fnv1a64(payload), pin.fnv) << to_string(pin.backend) << " shards=" << pin.shards;
+  }
+}
+
+TEST(FleetCheckpoint, V2SnapshotFileAndBlobStillRestore) {
+  const auto& records = sweep_trace();
+  const std::size_t at = records.size() / 3;
+  for (const CounterBackend backend : kAllBackends) {
+    const auto cfg = codec_config(backend, 2);
+    const std::string path = snapshot_path("v3");
+    checkpoint_prefix(cfg, records, at, path);
+    const auto from_v3 = restore_and_replay(cfg, records, path);
+
+    // A v2 file: the same payload under version 2 and an FNV-1a-64 trailer.
+    std::string v2 = read_snapshot_file(path);
+    v2[4] = 2;
+    v2[5] = 0;
+    BinaryWriter file;
+    file.put_bytes(v2.data(), v2.size());
+    file.put_u64(fnv1a64(v2));
+    const std::string v2_path = snapshot_path("v2");
+    write_bytes(v2_path, file.buffer());
+    EXPECT_EQ(restore_and_replay(cfg, records, v2_path).verdicts, from_v3.verdicts)
+        << to_string(backend);
+
+    // A v2 replication blob: the payload alone, as a v2 primary sent it.
+    auto replica = ContainmentPipeline::restore_from_blob(cfg, v2);
+    replica->feed(std::span<const trace::ConnRecord>(records).subspan(at));
+    EXPECT_EQ(replica->finish().verdicts, from_v3.verdicts) << to_string(backend);
+
+    // The trailer algorithm follows the version field: a v2 payload under a
+    // v3 trailer fails the FNV check.
+    write_snapshot_file(v2_path, v2);
+    EXPECT_THROW((void)ContainmentPipeline::restore(cfg, v2_path), support::PreconditionError);
+    std::remove(path.c_str());
+    std::remove(v2_path.c_str());
+  }
+}
+
+TEST(FleetCheckpoint, FlippedTrailerBitIsRejected) {
+  const std::string path = snapshot_path("trailer");
+  const auto cfg = sweep_config(CounterBackend::Exact, 2);
+  checkpoint_prefix(cfg, sweep_trace(), 10'000, path);
+  const std::string intact = read_bytes(path);
+  ASSERT_GT(intact.size(), 8u);
+  EXPECT_NO_THROW((void)read_snapshot_file(path));
+  for (const std::size_t bit : {0u, 29u, 63u}) {
+    std::string damaged = intact;
+    damaged[damaged.size() - 8 + bit / 8] ^= static_cast<char>(1u << (bit % 8));
+    write_bytes(path, damaged);
+    try {
+      (void)ContainmentPipeline::restore(cfg, path);
+      ADD_FAILURE() << "trailer bit " << bit << " flipped but the snapshot restored";
+    } catch (const support::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos) << e.what();
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

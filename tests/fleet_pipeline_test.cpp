@@ -7,7 +7,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <span>
+#include <string>
 
 #include "fleet/worm_injector.hpp"
 #include "support/check.hpp"
@@ -340,7 +346,7 @@ TEST(FleetPipeline, SpanFeedChunksMatchPerRecordFeed) {
   ContainmentPipeline spans(cfg);
   const std::span<const trace::ConnRecord> all(clean_trace());
   std::size_t i = 0;
-  for (const std::size_t chunk : {1uz, 7uz, 4096uz}) {
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
     spans.feed(all.subspan(i, std::min(chunk, all.size() - i)));
     i += std::min(chunk, all.size() - i);
   }
@@ -417,6 +423,86 @@ TEST(FleetPipeline, LookaheadPathMatchesAuditAcrossShardsAndRestore) {
   auto resumed = ContainmentPipeline::restore_from_blob(cfg, blob);
   resumed->feed(std::span<const trace::ConnRecord>(records).subspan(half));
   EXPECT_EQ(resumed->finish().verdicts, one.verdicts);
+}
+
+TEST(FleetPipeline, VerdictCsvMatchesPrintfReference) {
+  // write_verdicts_csv formats with std::to_chars; every row must equal the
+  // printf rendering it replaced (%.17g times, %llu counts), edge values
+  // included: zero, the smallest denormal, 2^53 + 1 (rounds to 2^53), tiny
+  // and huge magnitudes, and fractional timestamps late in a 30-day cycle.
+  constexpr double kCycle = 30.0 * 86'400.0;
+  const double times[] = {0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          9007199254740993.0,
+                          1e-300,
+                          std::numeric_limits<double>::max(),
+                          kCycle - 1e-6,
+                          kCycle * 0.1234567890123,
+                          1234567.891,
+                          2.5,
+                          kCycle + 1.0 / 3.0};
+  ContainmentVerdicts verdicts;
+  verdicts.node_id = std::numeric_limits<std::uint64_t>::max();
+  std::uint32_t host = 0;
+  for (const double flag_time : times) {
+    for (const double removal_time : times) {
+      HostVerdict v;
+      v.host = host == 0 ? std::numeric_limits<std::uint32_t>::max() - 1 : host;
+      v.records_seen = std::numeric_limits<std::uint64_t>::max() - host;
+      v.peak_distinct = host * 1'000'003ull;
+      v.flagged = (host % 2) == 0;
+      v.flag_time = flag_time;
+      v.removed = (host % 3) == 0;
+      v.removal_time = removal_time;
+      v.pre_contained = (host % 5) == 0;
+      v.failures_seen = host;
+      v.peak_failures = host == 0 ? 0 : std::uint64_t{1} << (host % 64);
+      v.removed_by_failures = (host % 7) == 0;
+      verdicts.hosts.push_back(v);
+      ++host;
+    }
+  }
+  // Enough rows to cross the writer's 64 KiB block boundary several times.
+  const std::size_t distinct_rows = verdicts.hosts.size();
+  for (std::size_t i = 0; verdicts.hosts.size() < 40 * distinct_rows; ++i) {
+    HostVerdict v = verdicts.hosts[i % distinct_rows];
+    v.host = static_cast<std::uint32_t>(verdicts.hosts.size());
+    verdicts.hosts.push_back(v);
+  }
+  std::string expected =
+      "host,records_seen,peak_distinct,flagged,flag_time,removed,removal_time,"
+      "pre_contained,failures_seen,peak_failures,removed_by_failures,node\n";
+  for (const HostVerdict& h : verdicts.hosts) {
+    char row[512];
+    const int n = std::snprintf(
+        row, sizeof row, "%u,%llu,%llu,%d,%.17g,%d,%.17g,%d,%llu,%llu,%d,%llu\n", h.host,
+        static_cast<unsigned long long>(h.records_seen),
+        static_cast<unsigned long long>(h.peak_distinct), h.flagged ? 1 : 0, h.flag_time,
+        h.removed ? 1 : 0, h.removal_time, h.pre_contained ? 1 : 0,
+        static_cast<unsigned long long>(h.failures_seen),
+        static_cast<unsigned long long>(h.peak_failures), h.removed_by_failures ? 1 : 0,
+        static_cast<unsigned long long>(verdicts.node_id));
+    ASSERT_GT(n, 0);
+    expected.append(row, static_cast<std::size_t>(n));
+  }
+  ASSERT_GT(expected.size(), std::size_t{256} << 10);
+
+  const std::string path = ::testing::TempDir() + "worms_verdicts_reference.csv";
+  write_verdicts_csv(path, verdicts);
+  std::ifstream in(path, std::ios::binary);
+  const std::string written{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+  ASSERT_EQ(written.size(), expected.size());
+  std::size_t line = 0;
+  std::size_t begin = 0;
+  while (begin < expected.size()) {
+    const std::size_t end_of_row = expected.find('\n', begin) + 1;
+    ASSERT_EQ(written.substr(begin, end_of_row - begin), expected.substr(begin, end_of_row - begin))
+        << "row " << line;
+    begin = end_of_row;
+    ++line;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

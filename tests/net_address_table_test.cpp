@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -89,6 +92,24 @@ TEST(AddressTable, DenseSequentialKeys) {
     ASSERT_EQ(t.find(Ipv4Address(i)), i);
   }
   EXPECT_EQ(t.find(Ipv4Address(100'000)), AddressTable::kNotFound);
+}
+
+TEST(AddressTable, CopyAddressesMatchesForEachOrder) {
+  // The checkpoint codec's bulk copy must write exactly the addresses
+  // for_each visits, in the same order, and nothing past 4 * size() bytes —
+  // across the sparse and dense loads the 8x growth steps produce.
+  for (const std::uint32_t n : {0u, 1u, 9u, 10u, 77u, 5'000u}) {
+    AddressTable t;
+    for (std::uint32_t i = 0; i < n; ++i) ASSERT_TRUE(t.insert(Ipv4Address(i * 2654435761u), 0));
+    std::vector<std::uint32_t> visited;
+    t.for_each([&](Ipv4Address addr, std::uint32_t) { visited.push_back(addr.value()); });
+    std::vector<char> bytes(4 * n + 4, '\x5A');
+    t.copy_addresses(bytes.data());
+    std::vector<std::uint32_t> copied(n);
+    for (std::uint32_t i = 0; i < n; ++i) std::memcpy(&copied[i], bytes.data() + 4 * i, 4);
+    EXPECT_EQ(copied, visited) << "n=" << n;
+    EXPECT_EQ(std::string(bytes.end() - 4, bytes.end()), std::string(4, '\x5A')) << "n=" << n;
+  }
 }
 
 }  // namespace

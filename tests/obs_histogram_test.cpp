@@ -60,7 +60,9 @@ TEST(ObsHistogram, BucketIndexIsMonotoneAndConsistentWithBounds) {
     ASSERT_GE(b, prev) << "bucket index regressed between " << prev_v << " and " << v;
     if (b < snap.bounds.size()) {
       EXPECT_LE(v, snap.bounds[b]);
-      if (b > 0) EXPECT_GT(v, snap.bounds[b - 1]);
+      if (b > 0) {
+        EXPECT_GT(v, snap.bounds[b - 1]);
+      }
     } else {
       EXPECT_GT(v, snap.bounds.back());
     }

@@ -189,6 +189,8 @@
 namespace {
 
 using namespace worms;
+using wormctl::require;
+using wormctl::UsageError;
 
 int cmd_plan(const support::CliArgs& args) {
   const core::PlannerInput in{
@@ -248,14 +250,13 @@ int cmd_extinction(const support::CliArgs& args) {
 /// `wormctl simulate --topology ...`: the per-edge transmission cascade on a
 /// generated graph, validated against the spectral threshold phi*rho(A) <= 1.
 int cmd_simulate_topology(const support::CliArgs& args, const std::string& topology) {
-  WORMS_EXPECTS((topology == "er" || topology == "ba" || topology == "ws" ||
-                 topology == "complete") &&
-                "--topology must be er, ba, ws, or complete");
+  require(topology == "er" || topology == "ba" || topology == "ws" || topology == "complete",
+          "--topology must be er, ba, ws, or complete");
   const std::uint32_t nodes = args.get_u32("nodes", 100'000);
   const double avg_degree = args.get_double("avg-degree", 8.0);
-  WORMS_EXPECTS(avg_degree > 0.0 && "--avg-degree must be positive");
+  require(avg_degree > 0.0, "--avg-degree must be positive");
   const double phi = args.get_double("phi", 0.1);
-  WORMS_EXPECTS(phi >= 0.0 && phi <= 1.0 && "--phi must be in [0, 1]");
+  require(phi >= 0.0 && phi <= 1.0, "--phi must be in [0, 1]");
   const auto i0 = args.get_u32("i0", 1);
   const auto runs = args.get_u64("runs", 500);
   const auto seed = args.get_u64("seed", 1);
@@ -353,7 +354,7 @@ int cmd_multitype(const support::CliArgs& args) {
   const double p_local = args.get_double("local-density", 5e-3);
   const double p_global = args.get_double("global-density", 2e-5);
   const double q = args.get_double("local-share", 0.8);
-  WORMS_EXPECTS(q >= 0.0 && q <= 1.0);
+  require(q >= 0.0 && q <= 1.0, "--local-share must be in [0, 1]");
 
   const std::vector<std::vector<double>> per_scan = {
       {q * p_local + (1.0 - q) * 2.0 * p_global, (1.0 - q) * p_global},
@@ -390,7 +391,7 @@ int cmd_synth(const support::CliArgs& args) {
   cfg.duration = args.get_double("days", 30.0) * sim::kDay;
   cfg.seed = args.get_u64("seed", cfg.seed);
   const std::string out = args.get_string("out", "");
-  WORMS_EXPECTS(!out.empty() && "synth requires --out FILE");
+  require(!out.empty(), "synth requires --out FILE");
 
   const auto synth = trace::synthesize_lbl_trace(cfg);
   // A .wtrace extension selects the packed binary format (identical records,
@@ -409,7 +410,7 @@ int cmd_synth(const support::CliArgs& args) {
 
 int cmd_audit(const support::CliArgs& args) {
   const std::string path = args.get_string("trace", "");
-  WORMS_EXPECTS(!path.empty() && "audit requires --trace FILE");
+  require(!path.empty(), "audit requires --trace FILE");
   const auto budget = args.get_u64("budget", 5'000);
   const double cycle_days = args.get_double("cycle-days", 30.0);
   const double check_fraction = args.get_double("check-fraction", 1.0);
@@ -433,7 +434,7 @@ int cmd_audit(const support::CliArgs& args) {
 /// way std::stoul's modular conversion would make it.
 fleet::WormInjectConfig parse_inject_spec(const std::string& spec, std::uint64_t seed) {
   const auto fail = [&spec](const char* why) -> void {
-    throw support::PreconditionError("--inject-worm '" + spec + "': " + why);
+    throw UsageError("--inject-worm '" + spec + "': " + why);
   };
   fleet::WormInjectConfig cfg;
   cfg.seed = seed;
@@ -568,20 +569,19 @@ void print_metrics_summary(const obs::MetricsSnapshot& snap) {
 int cmd_contain(const support::CliArgs& args) {
   const std::string path = args.get_string("trace", "");
   const bool synth = args.get_bool("synth", false);
-  WORMS_EXPECTS((synth || !path.empty()) && "contain requires --trace FILE or --synth");
+  require(synth || !path.empty(), "contain requires --trace FILE or --synth");
 
   fleet::PipelineOptions cfg;
   cfg.policy.scan_limit = args.get_u64("budget", 5'000);
   cfg.policy.cycle_length = args.get_double("cycle-days", 30.0) * sim::kDay;
   cfg.policy.check_fraction = args.get_double("check-fraction", 1.0);
   cfg.shards = args.get_u32("shards", 0);
-  WORMS_EXPECTS(cfg.shards <= 1024 && "--shards must be <= 1024");
+  require(cfg.shards <= 1024, "--shards must be <= 1024");
   cfg.hll_precision = static_cast<int>(args.get_u32("hll-precision", 12));
-  WORMS_EXPECTS(cfg.hll_precision >= 4 && cfg.hll_precision <= 16 &&
-                "--hll-precision must be in [4, 16]");
+  require(cfg.hll_precision >= 4 && cfg.hll_precision <= 16, "--hll-precision must be in [4, 16]");
   const std::string counter = args.get_string("counter", "exact");
-  WORMS_EXPECTS((counter == "exact" || counter == "hll" || counter == "compact") &&
-                "--counter must be exact, hll, or compact");
+  require(counter == "exact" || counter == "hll" || counter == "compact",
+          "--counter must be exact, hll, or compact");
   cfg.backend = counter == "hll"       ? fleet::CounterBackend::Hll
                 : counter == "compact" ? fleet::CounterBackend::Compact
                                        : fleet::CounterBackend::Exact;
@@ -594,15 +594,15 @@ int cmd_contain(const support::CliArgs& args) {
   cfg.compact.validate();  // bad geometry fails here, at parse time
   cfg.failure_budget = args.get_u64("failure-budget", 0);
   const std::string verdicts_out = args.get_string("verdicts-out", "");
-  WORMS_EXPECTS(!(args.has("verdicts-out") && verdicts_out == "true") &&
-                "--verdicts-out requires a file path");
+  require(!(args.has("verdicts-out") && verdicts_out == "true"),
+          "--verdicts-out requires a file path");
   const bool divergence = args.get_bool("divergence", false);
   const std::uint64_t seed = args.get_u64("seed", 1);
 
   cfg.checkpoint_path = args.get_string("checkpoint", "");
   cfg.checkpoint_every = args.get_u64("checkpoint-every", 0);
-  WORMS_EXPECTS((cfg.checkpoint_every == 0 || !cfg.checkpoint_path.empty()) &&
-                "--checkpoint-every requires --checkpoint PATH");
+  require(cfg.checkpoint_every == 0 || !cfg.checkpoint_path.empty(),
+          "--checkpoint-every requires --checkpoint PATH");
   const std::string resume_path = args.get_string("resume", "");
   if (args.has("fault-plan")) {
     cfg.faults = fleet::FaultPlan::parse(args.get_string("fault-plan", ""));
@@ -611,14 +611,12 @@ int cmd_contain(const support::CliArgs& args) {
   cfg.dead_letter_spill = dead_letter_path;
 
   const std::string metrics_path = args.get_string("metrics", "");
-  WORMS_EXPECTS(!(args.has("metrics") && metrics_path == "true") &&
-                "--metrics requires a file path");
+  require(!(args.has("metrics") && metrics_path == "true"), "--metrics requires a file path");
   const std::uint64_t metrics_every = args.get_u64("metrics-every", 0);
-  WORMS_EXPECTS((metrics_every == 0 || !metrics_path.empty()) &&
-                "--metrics-every requires --metrics FILE");
+  require(metrics_every == 0 || !metrics_path.empty(), "--metrics-every requires --metrics FILE");
   const std::string metrics_format = args.get_string("metrics-format", "prometheus");
-  WORMS_EXPECTS((metrics_format == "prometheus" || metrics_format == "json") &&
-                "--metrics-format must be prometheus or json");
+  require(metrics_format == "prometheus" || metrics_format == "json",
+          "--metrics-format must be prometheus or json");
   const std::uint16_t metrics_listen = wormctl::parse_metrics_listen(args);
   obs::Registry registry;
   if (!metrics_path.empty() || metrics_listen != 0) cfg.metrics = &registry;
@@ -651,19 +649,17 @@ int cmd_contain(const support::CliArgs& args) {
   // input-CSV meaning is vacant there).
   std::string trace_out = args.get_string("trace-out", "");
   if (synth && trace_out.empty() && !path.empty()) trace_out = path;
-  WORMS_EXPECTS((trace_out.empty() || trace_out != "true") &&
-                "--trace-out requires a file path");
+  require(trace_out.empty() || trace_out != "true", "--trace-out requires a file path");
   obs::TracerOptions tracer_options;
   tracer_options.buffer_events =
       static_cast<std::size_t>(args.get_u64("trace-buffer-events", tracer_options.buffer_events));
   const std::string trace_clock = args.get_string("trace-clock", "wall");
-  WORMS_EXPECTS((trace_clock == "wall" || trace_clock == "synthetic") &&
-                "--trace-clock must be wall or synthetic");
+  require(trace_clock == "wall" || trace_clock == "synthetic",
+          "--trace-clock must be wall or synthetic");
   tracer_options.clock =
       trace_clock == "synthetic" ? obs::TraceClock::Synthetic : obs::TraceClock::Wall;
-  WORMS_EXPECTS((!trace_out.empty() ||
-                 (!args.has("trace-buffer-events") && !args.has("trace-clock"))) &&
-                "--trace-buffer-events and --trace-clock require --trace-out FILE");
+  require(!trace_out.empty() || (!args.has("trace-buffer-events") && !args.has("trace-clock")),
+          "--trace-buffer-events and --trace-clock require --trace-out FILE");
   obs::Tracer tracer(tracer_options);
   if (!trace_out.empty()) cfg.tracer = &tracer;
 
@@ -673,8 +669,8 @@ int cmd_contain(const support::CliArgs& args) {
   const std::string events_path = wormctl::parse_events_path(args);
   obs::EventLogOptions event_options = wormctl::parse_event_log_options(args);
   if (events_path.empty()) event_options.clock = tracer_options.clock;
-  WORMS_EXPECTS((trace_out.empty() || event_options.clock == tracer_options.clock) &&
-                "--trace-clock and --events-clock must agree when tracing with --events");
+  require(trace_out.empty() || event_options.clock == tracer_options.clock,
+          "--trace-clock and --events-clock must agree when tracing with --events");
   obs::EventLog events(event_options);
   if (!events_path.empty() || !trace_out.empty()) cfg.events = &events;
 
@@ -898,7 +894,7 @@ int cmd_events(int argc, char** argv) {
     if (flag == "--type" && i + 1 < argc) {
       const std::string name = argv[++i];
       if (!obs::parse_event_type(name, type)) {
-        throw support::PreconditionError(
+        throw UsageError(
             "--type '" + name + "' is not an event type (expected DegradeStep, "
             "CheckpointWrite, CheckpointRestore, ReplicaPromotion, HostRemoved, "
             "FaultClauseFired, NetQuarantine, or OverloadTransition)");
@@ -910,8 +906,7 @@ int cmd_events(int argc, char** argv) {
       const char* last = first + text.size();
       const auto [p, ec] = std::from_chars(first, last, since);
       if (ec != std::errc() || p != last) {
-        throw support::PreconditionError("--since '" + text +
-                                         "' must be a non-negative integer position");
+        throw UsageError("--since '" + text + "' must be a non-negative integer position");
       }
     } else {
       return events_usage();

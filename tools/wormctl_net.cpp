@@ -42,7 +42,6 @@
 #include "obs/event_log.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace_export.hpp"
-#include "support/check.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/record_source.hpp"
 #include "trace/synth.hpp"
@@ -59,21 +58,21 @@ using fleet::net::Endpoint;
 /// other wormctl flag).
 [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> parse_hosts_mod(const std::string& text) {
   const std::size_t comma = text.find(',');
-  WORMS_EXPECTS(comma != std::string::npos && "--hosts-mod expects MODULUS,REMAINDER");
+  require(comma != std::string::npos, "--hosts-mod expects MODULUS,REMAINDER");
   const auto parse_part = [&](std::size_t begin, std::size_t end, const char* what) {
     std::uint32_t value = 0;
     const char* first = text.data() + begin;
     const char* last = text.data() + end;
     const auto [ptr, ec] = std::from_chars(first, last, value);
-    WORMS_EXPECTS(ec == std::errc() && ptr == last && first != last &&
-                  "--hosts-mod parts must be non-negative integers");
+    require(ec == std::errc() && ptr == last && first != last,
+            "--hosts-mod parts must be non-negative integers");
     (void)what;
     return value;
   };
   const std::uint32_t modulus = parse_part(0, comma, "modulus");
   const std::uint32_t remainder = parse_part(comma + 1, text.size(), "remainder");
-  WORMS_EXPECTS(modulus > 0 && "--hosts-mod modulus must be nonzero");
-  WORMS_EXPECTS(remainder < modulus && "--hosts-mod remainder must be < modulus");
+  require(modulus > 0, "--hosts-mod modulus must be nonzero");
+  require(remainder < modulus, "--hosts-mod remainder must be < modulus");
   return {modulus, remainder};
 }
 
@@ -85,8 +84,8 @@ using fleet::net::Endpoint;
       args.get_u64("read-timeout-ms", static_cast<std::uint64_t>(t.read.count())));
   t.write = std::chrono::milliseconds(
       args.get_u64("write-timeout-ms", static_cast<std::uint64_t>(t.write.count())));
-  WORMS_EXPECTS(t.connect.count() > 0 && t.read.count() > 0 && t.write.count() > 0 &&
-                "net timeouts must be positive");
+  require(t.connect.count() > 0 && t.read.count() > 0 && t.write.count() > 0,
+          "net timeouts must be positive");
   return t;
 }
 
@@ -97,8 +96,8 @@ using fleet::net::Endpoint;
   r.cap = std::chrono::milliseconds(
       args.get_u64("retry-cap-ms", static_cast<std::uint64_t>(r.cap.count())));
   r.max_retries = args.get_u32("retry-max", r.max_retries);
-  WORMS_EXPECTS(r.cap >= r.base && "--retry-cap-ms must be >= --retry-base-ms");
-  WORMS_EXPECTS(r.max_retries > 0 && "--retry-max must be nonzero");
+  require(r.cap >= r.base, "--retry-cap-ms must be >= --retry-base-ms");
+  require(r.max_retries > 0, "--retry-max must be nonzero");
   return r;
 }
 
@@ -110,13 +109,12 @@ using fleet::net::Endpoint;
   cfg.policy.cycle_length = args.get_double("cycle-days", 30.0) * sim::kDay;
   cfg.policy.check_fraction = args.get_double("check-fraction", 1.0);
   cfg.shards = args.get_u32("shards", 0);
-  WORMS_EXPECTS(cfg.shards <= 1024 && "--shards must be <= 1024");
+  require(cfg.shards <= 1024, "--shards must be <= 1024");
   cfg.hll_precision = static_cast<int>(args.get_u32("hll-precision", 12));
-  WORMS_EXPECTS(cfg.hll_precision >= 4 && cfg.hll_precision <= 16 &&
-                "--hll-precision must be in [4, 16]");
+  require(cfg.hll_precision >= 4 && cfg.hll_precision <= 16, "--hll-precision must be in [4, 16]");
   const std::string counter = args.get_string("counter", "exact");
-  WORMS_EXPECTS((counter == "exact" || counter == "hll" || counter == "compact") &&
-                "--counter must be exact, hll, or compact");
+  require(counter == "exact" || counter == "hll" || counter == "compact",
+          "--counter must be exact, hll, or compact");
   cfg.backend = counter == "hll"       ? fleet::CounterBackend::Hll
                 : counter == "compact" ? fleet::CounterBackend::Compact
                                        : fleet::CounterBackend::Exact;
@@ -176,24 +174,21 @@ std::uint16_t parse_metrics_listen(const support::CliArgs& args) {
   // Port 0 is rejected — an ephemeral scrape port is useless (nothing could
   // find it) and almost certainly a typo.
   const std::uint64_t port = args.get_u64("metrics-listen", 0);
-  WORMS_EXPECTS(port >= 1 && port <= 65535 &&
-                "--metrics-listen must be a port in [1, 65535]");
+  require(port >= 1 && port <= 65535, "--metrics-listen must be a port in [1, 65535]");
   return static_cast<std::uint16_t>(port);
 }
 
 std::string parse_events_path(const support::CliArgs& args) {
   const std::string path = args.get_string("events", "");
-  WORMS_EXPECTS(!(args.has("events") && path == "true") && "--events requires a file path");
-  WORMS_EXPECTS((!path.empty() || !args.has("events-clock")) &&
-                "--events-clock requires --events FILE");
+  require(!(args.has("events") && path == "true"), "--events requires a file path");
+  require(!path.empty() || !args.has("events-clock"), "--events-clock requires --events FILE");
   return path;
 }
 
 obs::EventLogOptions parse_event_log_options(const support::CliArgs& args) {
   obs::EventLogOptions options;
   const std::string clock = args.get_string("events-clock", "wall");
-  WORMS_EXPECTS((clock == "wall" || clock == "synthetic") &&
-                "--events-clock must be wall or synthetic");
+  require(clock == "wall" || clock == "synthetic", "--events-clock must be wall or synthetic");
   options.clock = clock == "synthetic" ? obs::TraceClock::Synthetic : obs::TraceClock::Wall;
   options.node_id = args.get_u64("node-id", 0);
   return options;
@@ -210,22 +205,21 @@ void write_event_journal(const obs::EventLog& events, const std::string& path) {
 int cmd_serve(const support::CliArgs& args) {
   fleet::net::NodeOptions options;
   const std::string listen = args.get_string("listen", "");
-  WORMS_EXPECTS(!listen.empty() && listen != "true" && "serve requires --listen HOST:PORT");
+  require(!listen.empty() && listen != "true", "serve requires --listen HOST:PORT");
   options.listen = fleet::net::parse_endpoint(listen);
   const std::string peers = args.get_string("peers", "");
-  WORMS_EXPECTS(!(args.has("peers") && peers == "true") &&
-                "--peers requires HOST:PORT[,HOST:PORT...]");
+  require(!(args.has("peers") && peers == "true"), "--peers requires HOST:PORT[,HOST:PORT...]");
   if (!peers.empty()) options.peers = fleet::net::parse_endpoint_list(peers);
   const std::string replicate_to = args.get_string("replicate-to", "");
-  WORMS_EXPECTS(!(args.has("replicate-to") && replicate_to == "true") &&
-                "--replicate-to requires HOST:PORT");
+  require(!(args.has("replicate-to") && replicate_to == "true"),
+          "--replicate-to requires HOST:PORT");
   if (!replicate_to.empty()) options.replicate_to = fleet::net::parse_endpoint(replicate_to);
   options.replicate_every = args.get_u64("replicate-every", 0);
   options.gossip_every = args.get_u64("gossip-every", 0);
   options.expect_clients = args.get_u32("expect-clients", 1);
   options.expect_peers = args.get_u32("expect-peers", 0);
-  WORMS_EXPECTS((options.expect_clients + options.expect_peers) > 0 &&
-                "serve needs --expect-clients or --expect-peers to be nonzero");
+  require((options.expect_clients + options.expect_peers) > 0,
+          "serve needs --expect-clients or --expect-peers to be nonzero");
   options.apply_alerts = args.get_bool("apply-alerts", true);
   options.node_id = args.get_u64("node-id", 0);
   options.timeouts = parse_timeouts(args);
@@ -236,11 +230,10 @@ int cmd_serve(const support::CliArgs& args) {
   }
 
   const std::string verdicts_out = args.get_string("verdicts-out", "");
-  WORMS_EXPECTS(!(args.has("verdicts-out") && verdicts_out == "true") &&
-                "--verdicts-out requires a file path");
+  require(!(args.has("verdicts-out") && verdicts_out == "true"),
+          "--verdicts-out requires a file path");
   const std::string metrics_path = args.get_string("metrics", "");
-  WORMS_EXPECTS(!(args.has("metrics") && metrics_path == "true") &&
-                "--metrics requires a file path");
+  require(!(args.has("metrics") && metrics_path == "true"), "--metrics requires a file path");
   const std::uint16_t metrics_listen = parse_metrics_listen(args);
   obs::Registry registry;
   if (!metrics_path.empty() || metrics_listen != 0) options.pipeline.metrics = &registry;
@@ -286,12 +279,12 @@ int cmd_serve(const support::CliArgs& args) {
 int cmd_ingest(const support::CliArgs& args) {
   fleet::net::IngestOptions options;
   const std::string connect = args.get_string("connect", "");
-  WORMS_EXPECTS(!connect.empty() && connect != "true" &&
-                "ingest requires --connect HOST:PORT[,HOST:PORT...]");
+  require(!connect.empty() && connect != "true",
+          "ingest requires --connect HOST:PORT[,HOST:PORT...]");
   options.connect = fleet::net::parse_endpoint_list(connect);
   options.client_id = args.get_u64("client-id", 1);
   options.batch_records = static_cast<std::size_t>(args.get_u64("batch-records", 4096));
-  WORMS_EXPECTS(options.batch_records > 0 && "--batch-records must be nonzero");
+  require(options.batch_records > 0, "--batch-records must be nonzero");
   options.timeouts = parse_timeouts(args);
   options.retry = parse_retry(args);
   if (args.has("fault-plan")) {
@@ -300,7 +293,7 @@ int cmd_ingest(const support::CliArgs& args) {
 
   const std::string path = args.get_string("trace", "");
   const bool synth = args.get_bool("synth", false);
-  WORMS_EXPECTS((synth || !path.empty()) && "ingest requires --trace FILE or --synth");
+  require(synth || !path.empty(), "ingest requires --trace FILE or --synth");
   std::uint32_t mod = 0;
   std::uint32_t rem = 0;
   if (args.has("hosts-mod")) {
@@ -422,27 +415,25 @@ namespace {
   std::string error;
   auto maybe_stream = fleet::net::TcpStream::connect(endpoint, timeouts.connect, &error);
   if (!maybe_stream) {
-    throw support::PreconditionError("status: cannot connect to " + endpoint.to_string() + ": " +
-                                     error);
+    throw UsageError("status: cannot connect to " + endpoint.to_string() + ": " + error);
   }
   fleet::net::TcpStream stream = std::move(*maybe_stream);
   const std::string query = fleet::net::encode_frame(fleet::net::FrameType::StatsQuery, "");
-  WORMS_EXPECTS(stream.write_all(query, timeouts.write) && "status: query write failed");
+  require(stream.write_all(query, timeouts.write), "status: query write failed");
 
   fleet::net::FrameDecoder decoder;
   char buffer[4096];
   for (;;) {
     fleet::net::FrameDecoder::Result result = decoder.next();
     if (result.status == fleet::net::FrameDecoder::Status::Ready) {
-      WORMS_EXPECTS(result.frame.type == fleet::net::FrameType::StatsReport &&
-                    "status: node replied with an unexpected frame type");
+      require(result.frame.type == fleet::net::FrameType::StatsReport,
+              "status: node replied with an unexpected frame type");
       return fleet::net::decode_stats_report(result.frame.payload);
     }
-    WORMS_EXPECTS(result.status != fleet::net::FrameDecoder::Status::Error &&
-                  "status: undecodable reply from node");
+    require(result.status != fleet::net::FrameDecoder::Status::Error,
+            "status: undecodable reply from node");
     const auto read = stream.read_some(buffer, sizeof buffer, timeouts.read);
-    WORMS_EXPECTS(read.status == fleet::net::IoStatus::Ok &&
-                  "status: no StatsReport reply from node");
+    require(read.status == fleet::net::IoStatus::Ok, "status: no StatsReport reply from node");
     decoder.append(buffer, read.bytes);
   }
 }
@@ -544,14 +535,14 @@ void print_status_round(const std::vector<Endpoint>& endpoints,
 
 int cmd_status(const support::CliArgs& args) {
   const std::string connect = args.get_string("connect", "");
-  WORMS_EXPECTS(!connect.empty() && connect != "true" &&
-                "status requires --connect HOST:PORT[,HOST:PORT...]");
+  require(!connect.empty() && connect != "true",
+          "status requires --connect HOST:PORT[,HOST:PORT...]");
   const std::vector<Endpoint> endpoints = fleet::net::parse_endpoint_list(connect);
   const fleet::net::NetTimeouts timeouts = parse_timeouts(args);
   std::uint64_t watch_seconds = 0;
   if (args.has("watch")) {
     watch_seconds = args.get_u64("watch", 0);
-    WORMS_EXPECTS(watch_seconds >= 1 && "--watch requires an interval of >= 1 second(s)");
+    require(watch_seconds >= 1, "--watch requires an interval of >= 1 second(s)");
   }
 
   for (std::uint64_t round = 0;; ++round) {

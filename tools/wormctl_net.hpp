@@ -4,12 +4,26 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "obs/event_log.hpp"
 #include "support/cli.hpp"
 
 namespace wormctl {
+
+/// A rejected command line or operator request.  main() prints only the
+/// message, as `error: <message>` — no C++ condition, no source path.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Throws UsageError(message) unless `ok`: the check for every flag value
+/// and operator request the subcommands validate themselves.
+inline void require(bool ok, const char* message) {
+  if (!ok) throw UsageError(message);
+}
 
 /// `wormctl serve` — run a containment node: TCP ingest, alert gossip,
 /// checkpoint replication, promote-on-failure.
