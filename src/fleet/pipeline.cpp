@@ -12,7 +12,6 @@
 #include <optional>
 #include <span>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "fleet/checkpoint.hpp"
@@ -166,9 +165,7 @@ struct ContainmentPipeline::Monitor {
 /// One shard: a queue and the per-host states of the hosts routed to it,
 /// each carrying its own distinct counter and in-cycle budget state.  Host
 /// state is touched only by the shard's worker thread (and by the ingest thread
-/// after a quiesce gate or the final join — both synchronization points);
-/// `removed` is the one shared structure, guarded by its mutex, so shedding
-/// can consult it from the ingest side.
+/// after a quiesce gate or the final join — both synchronization points).
 struct ContainmentPipeline::Shard {
   explicit Shard(const PipelineOptions& config)
       : queue(config.queue_capacity),
@@ -393,10 +390,6 @@ struct ContainmentPipeline::Shard {
     if (step.remove) {
       h.verdict.removed = true;
       h.verdict.removal_time = r.timestamp;
-      {
-        std::lock_guard lock(removed_mutex);
-        removed.insert(r.source_host);
-      }
       if (events != nullptr) {
         events->emit(obs::EventType::HostRemoved, stream_index, r.source_host, 0);
       }
@@ -412,10 +405,6 @@ struct ContainmentPipeline::Shard {
       h.verdict.removal_time = r.timestamp;
       if (events != nullptr) {
         events->emit(obs::EventType::HostRemoved, stream_index, r.source_host, 1);
-      }
-      {
-        std::lock_guard lock(removed_mutex);
-        removed.insert(r.source_host);
       }
       if (on_removal != nullptr && *on_removal) {
         (*on_removal)(r.source_host, r.timestamp);
@@ -440,8 +429,6 @@ struct ContainmentPipeline::Shard {
     if (events != nullptr) {
       events->emit(obs::EventType::HostRemoved, last_stream_index, id, 2);
     }
-    std::lock_guard lock(removed_mutex);
-    removed.insert(id);
   }
 
   /// Gives a new host a fresh counter on this shard's backend: exact inline,
@@ -587,9 +574,6 @@ struct ContainmentPipeline::Shard {
 
   std::uint64_t backend_switches_this_run = 0;  ///< degrade rungs walked this run
   std::atomic<bool> dead{false};   ///< worker returned via fault injection
-
-  std::mutex removed_mutex;
-  std::unordered_set<std::uint32_t> removed;  ///< hosts with removed verdicts
 };
 
 void PipelineOptions::validate() const {
@@ -678,7 +662,6 @@ void ContainmentPipeline::setup_metrics() {
   if (!obs::kEnabled || config_.metrics == nullptr) return;
   obs::Registry& reg = *config_.metrics;
   obs_.ingested = &reg.counter("fleet_records_ingested_total");
-  obs_.shed = &reg.counter("fleet_records_shed_total");
   obs_.suppressed = &reg.counter("fleet_records_suppressed_total");
   obs_.post_removal = &reg.counter("fleet_records_post_removal_total");
   obs_.checkpoints = &reg.counter("fleet_checkpoints_written_total");
@@ -762,18 +745,6 @@ void ContainmentPipeline::feed(const trace::ConnRecord& record) {
     return;
   }
   const unsigned s = shard_of(r.source_host);
-  if (monitors_[s].health == ShardHealth::Shedding) {
-    // Shed only what the worker would suppress anyway: records of hosts whose
-    // removal verdict is already final.  Semantically lossless.
-    Shard& shard = *shards_[s];
-    std::lock_guard lock(shard.removed_mutex);
-    if (shard.removed.contains(r.source_host)) {
-      ++records_shed_;
-      maybe_auto_checkpoint();
-      maybe_auto_export_metrics();
-      return;
-    }
-  }
   pending_[s].push_back(r);
   pending_indices_[s].push_back(index);
   last_routed_ = r;
@@ -830,14 +801,6 @@ void ContainmentPipeline::feed(std::span<const trace::ConnRecord> records) {
         continue;
       }
       const unsigned s = shard_of(r.source_host);
-      if (monitors_[s].health == ShardHealth::Shedding) {
-        Shard& shard = *shards_[s];
-        std::lock_guard lock(shard.removed_mutex);
-        if (shard.removed.contains(r.source_host)) {
-          ++records_shed_;
-          continue;
-        }
-      }
       pending_[s].push_back(r);
       pending_indices_[s].push_back(index);
       last = &r;
@@ -938,12 +901,10 @@ void ContainmentPipeline::flush_ingest_counters() {
   // Ingest-side counters mirror plain members that feed() already maintains;
   // publishing the delta once per batch keeps the per-record hot path free of
   // atomic operations (the overhead budget in DESIGN.md §8).  Only the ingest
-  // thread calls this, so the flushed markers need no synchronisation.
+  // thread calls this, so the flushed marker needs no synchronisation.
   if (obs_.ingested == nullptr) return;
   obs_.ingested->add(records_fed_ - obs_ingested_flushed_);
-  obs_.shed->add(records_shed_ - obs_shed_flushed_);
   obs_ingested_flushed_ = records_fed_;
-  obs_shed_flushed_ = records_shed_;
 }
 
 void ContainmentPipeline::observe_overload(unsigned shard_index, double fill_fraction) {
@@ -1122,7 +1083,7 @@ std::string ContainmentPipeline::encode_snapshot(std::vector<std::string> host_s
   out.put_f64(config_.policy.check_fraction);
   out.put_u32(config_.shards);
   out.put_u64(records_fed_);
-  out.put_u64(records_shed_);
+  out.put_u64(0);  // formerly records shed at ingest; the ladder drops nothing
   std::uint64_t suppressed = restored_suppressed_;
   std::uint64_t switches = restored_backend_switches_;
   std::uint64_t host_count = 0;
@@ -1223,8 +1184,10 @@ void ContainmentPipeline::decode_snapshot(const std::string& payload) {
                 "snapshot check fraction differs from config");
   const std::uint32_t snapshot_shards = in.get_u32();
   records_fed_ = in.get_u64();
-  records_shed_ = in.get_u64();
+  // A file from a build whose overload ladder shed records at ingest: those
+  // records arrived after their host's removal, so they count as suppressed.
   restored_suppressed_ = in.get_u64();
+  restored_suppressed_ += in.get_u64();
   DeadLetterStats dl;
   dl.malformed = in.get_u64();
   dl.out_of_order = in.get_u64();
@@ -1236,8 +1199,8 @@ void ContainmentPipeline::decode_snapshot(const std::string& payload) {
   // Preload the streaming obs counters with the restored baselines so a
   // resumed run's totals are identical to an uninterrupted run's (the golden
   // resume test depends on this; dead letters preload via the channel above).
-  // flush_ingest_counters() publishes records_fed_/records_shed_ and advances
-  // the flushed markers, so later batch flushes add only post-resume deltas.
+  // flush_ingest_counters() publishes records_fed_ and advances the flushed
+  // marker, so later batch flushes add only post-resume deltas.
   flush_ingest_counters();
   if (obs_.ingested != nullptr) {
     obs_.suppressed->add(restored_suppressed_);
@@ -1314,7 +1277,6 @@ void ContainmentPipeline::decode_snapshot(const std::string& payload) {
     } else {
       h.approx = std::move(counter);
     }
-    if (h.verdict.removed) shard.removed.insert(id);
   }
   WORMS_EXPECTS(in.remaining() == 0 && "trailing bytes in snapshot");
   last_checkpoint_position_ = records_fed_;
@@ -1374,7 +1336,6 @@ PipelineResult ContainmentPipeline::finish() {
       elapsed > 0.0 ? static_cast<double>(records_fed_) / elapsed : 0.0;
   m.shards = config_.shards;
   m.dead_letters = dead_letters_.stats();
-  m.records_shed = records_shed_;
   m.backend_switches = restored_backend_switches_;
   m.workers_respawned = workers_respawned_;
   m.checkpoints_written = checkpoints_written_;
@@ -1402,18 +1363,16 @@ PipelineResult ContainmentPipeline::finish() {
     if (v.removed_by_failures) ++result.verdicts.hosts_removed_by_failures;
   }
 
-  // Verdict-derived metrics, folded in exactly once.  post_removal is
-  // suppressed + shed: each individual split is racy under shedding (the same
-  // record may be shed at ingest or suppressed by the worker), but their sum
-  // — records arriving after the host's removal verdict — is deterministic,
-  // which is what the golden tests compare.
+  // Verdict-derived metrics, folded in exactly once.  post_removal — records
+  // arriving after their host's removal verdict — depends on the stream alone,
+  // like every suppression count, since no record is dropped before its shard.
   flush_ingest_counters();
   if (obs_.ingested != nullptr) {
     obs_.hosts_seen->add(hosts.size());
     obs_.hosts_flagged->add(result.verdicts.hosts_flagged);
     obs_.hosts_removed->add(result.verdicts.hosts_removed);
     obs_.hosts_pre_contained->add(result.verdicts.hosts_pre_contained);
-    obs_.post_removal->add(m.records_suppressed + m.records_shed);
+    obs_.post_removal->add(m.records_suppressed);
     obs_.backend_switches->add(m.backend_switches);
     obs_.workers_killed->add(m.workers_killed);
     obs_.counter_memory->set(static_cast<double>(m.counter_memory_bytes));
@@ -1428,7 +1387,6 @@ PipelineResult ContainmentPipeline::finish() {
 PipelineStatus ContainmentPipeline::status() const {
   PipelineStatus s;
   s.records_fed = records_fed_;
-  s.records_shed = records_shed_;
   s.checkpoints_written = checkpoints_written_;
   s.checkpoint_position = last_checkpoint_position_;
   s.configured_backend = config_.backend;

@@ -46,10 +46,10 @@
 //   * dead-letter quarantine — malformed, per-host out-of-order, and
 //     duplicate records are routed to a bounded DeadLetterChannel (per-reason
 //     counters, optional spill file) instead of aborting the stream.
-//   * overload degradation — per-shard watermarks walk a ladder
-//     healthy → degraded → shedding under sustained backpressure; shedding
-//     drops only records of already-removed hosts (which the worker would
-//     suppress anyway), never a countable scan.
+//   * overload gauge — per-shard watermarks walk a health ladder
+//     healthy → degraded → shedding under sustained backpressure.  The
+//     ladder reports; it drops nothing: every record reaches its shard, and
+//     a removed host's records are suppressed there, by their one owner.
 //   * fault injection — a fleet::FaultPlan kills/stalls/degrades workers and
 //     corrupts records at scripted stream positions so every recovery path
 //     above is exercised deterministically by tests.
@@ -90,7 +90,9 @@ class RecordSource;
 namespace worms::fleet {
 
 /// Overload ladder position of one shard, sampled by the ingest thread at
-/// every batch push.
+/// every batch push.  A health gauge only: no rung drops records.  The top
+/// rung keeps the name `Shedding` for the benchmark replay that reads it,
+/// though it sheds nothing.
 enum class ShardHealth : std::uint8_t { Healthy, Degraded, Shedding };
 
 [[nodiscard]] const char* to_string(ShardHealth health) noexcept;
@@ -259,7 +261,9 @@ struct PipelineMetrics {
 
   // Fault-tolerance accounting.
   DeadLetterStats dead_letters;         ///< quarantined-record counters
-  std::uint64_t records_shed = 0;       ///< removed-host records dropped under shedding
+  /// Always 0: the overload ladder drops nothing.  Kept for the benchmark
+  /// harness, which adds it to records_suppressed.
+  std::uint64_t records_shed = 0;
   std::uint64_t backend_switches = 0;   ///< ladder rungs taken, exact→HLL→compact (incl. restored)
   std::uint32_t workers_killed = 0;     ///< fault-injected worker deaths observed
   std::uint32_t workers_respawned = 0;  ///< replacement workers started
@@ -279,7 +283,6 @@ struct PipelineResult {
 /// either ingest-owned state or an atomic published by the workers.
 struct PipelineStatus {
   std::uint64_t records_fed = 0;
-  std::uint64_t records_shed = 0;
   std::uint64_t checkpoints_written = 0;
   /// Stream position of the most recent checkpoint/snapshot (0 = none yet).
   std::uint64_t checkpoint_position = 0;
@@ -394,7 +397,6 @@ class ContainmentPipeline {
   /// once by finish() so they are deterministic for any shard count.
   struct Obs {
     obs::Counter* ingested = nullptr;        ///< fleet_records_ingested_total
-    obs::Counter* shed = nullptr;            ///< fleet_records_shed_total
     obs::Counter* suppressed = nullptr;      ///< fleet_records_suppressed_total
     obs::Counter* post_removal = nullptr;    ///< fleet_records_post_removal_total
     obs::Counter* checkpoints = nullptr;     ///< fleet_checkpoints_written_total
@@ -456,11 +458,9 @@ class ContainmentPipeline {
   DeadLetterChannel dead_letters_;
   std::vector<std::uint64_t> corrupt_indices_;  ///< sorted fault-plan targets
   std::uint64_t records_fed_ = 0;
-  std::uint64_t records_shed_ = 0;
-  // Portions of records_fed_/records_shed_ already published to obs counters;
-  // flush_ingest_counters() adds only the delta, once per batch boundary.
+  // Portion of records_fed_ already published to obs; flush_ingest_counters()
+  // adds only the delta, once per batch boundary.
   std::uint64_t obs_ingested_flushed_ = 0;
-  std::uint64_t obs_shed_flushed_ = 0;
   std::uint64_t checkpoints_written_ = 0;
   std::uint64_t last_checkpoint_position_ = 0;  ///< records_fed_ at last snapshot
   std::uint64_t metrics_exports_written_ = 0;

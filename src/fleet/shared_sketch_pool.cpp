@@ -78,18 +78,26 @@ std::uint32_t CompactPoolConfig::registers_per_bank() const {
   return static_cast<std::uint32_t>(std::bit_ceil(per_bank));
 }
 
-void CompactPoolConfig::validate() const {
-  WORMS_EXPECTS(bits_per_host >= 1 && bits_per_host <= 64 &&
-                "compact bits-per-host must be in [1, 64]");
-  WORMS_EXPECTS(virtual_registers >= 8 && virtual_registers <= 4096 &&
-                "compact virtual-registers must be in [8, 4096]");
-  WORMS_EXPECTS(expected_hosts >= 1024 && "compact expected-hosts must be >= 1024");
+const char* CompactPoolConfig::invalid_reason() const {
+  if (bits_per_host < 1 || bits_per_host > 64) return "compact bits-per-host must be in [1, 64]";
+  if (virtual_registers < 8 || virtual_registers > 4096) {
+    return "compact virtual-registers must be in [8, 4096]";
+  }
+  if (expected_hosts < 1024) return "compact expected-hosts must be >= 1024";
   const std::uint64_t m = registers_per_bank();
-  WORMS_EXPECTS(m >= 2 * static_cast<std::uint64_t>(virtual_registers) &&
-                "compact register budget too small: need bank registers >= 2x "
-                "virtual-registers (raise --compact-bits-per-host or "
-                "--compact-expected-hosts, or lower --compact-virtual-registers)");
-  WORMS_EXPECTS(m <= (1u << 26) && "compact bank register count out of range");
+  if (m < 2 * static_cast<std::uint64_t>(virtual_registers)) {
+    return "compact register budget too small: need bank registers >= 2x "
+           "virtual-registers (raise --compact-bits-per-host or "
+           "--compact-expected-hosts, or lower --compact-virtual-registers)";
+  }
+  if (m > (1u << 26)) return "compact bank register count out of range";
+  return nullptr;
+}
+
+void CompactPoolConfig::validate() const {
+  if (const char* reason = invalid_reason()) {
+    support::precondition_failure(reason, __FILE__, __LINE__);
+  }
 }
 
 SketchBank::SketchBank(std::uint32_t bank_index, const CompactPoolConfig& config)

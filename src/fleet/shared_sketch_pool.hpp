@@ -57,9 +57,13 @@ struct CompactPoolConfig {
   /// Expected monitored-host population the bit budget is amortized over.
   std::uint64_t expected_hosts = 1u << 20;
 
-  /// Registers per bank (power of two).  Throws on out-of-range knobs or a
-  /// budget too small for the slice width (m < 2·s).
+  /// Registers per bank (power of two).
   [[nodiscard]] std::uint32_t registers_per_bank() const;
+  /// Why these knobs are unusable (out of range, or a budget too small for
+  /// the slice width, m < 2·s), or null when they are fine — the message
+  /// validate() throws, for flag parsers that report it themselves.
+  [[nodiscard]] const char* invalid_reason() const;
+  /// Throws support::PreconditionError naming invalid_reason(), if any.
   void validate() const;
 
   friend bool operator==(const CompactPoolConfig&, const CompactPoolConfig&) = default;

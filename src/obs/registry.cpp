@@ -137,7 +137,6 @@ void append_escaped_label_value(std::string& out, std::string_view value) {
   };
   static constexpr Entry kHelp[] = {
       {"fleet_records_ingested_total", "records accepted into the containment pipeline"},
-      {"fleet_records_shed_total", "records dropped by overload shedding"},
       {"fleet_records_suppressed_total", "records suppressed after host removal"},
       {"fleet_records_post_removal_total", "records observed from already-removed hosts"},
       {"fleet_checkpoints_written_total", "pipeline checkpoints written"},

@@ -5,7 +5,7 @@
 // config-mismatch rejection), the auto-checkpoint resume flow, and the
 // snapshot codec itself: byte-stable images from the per-shard encode at the
 // quiesce gate, the v3 payload's unchanged layout, and v2 files and blobs
-// that still restore.
+// that still restore, with any legacy shed count counted as suppressed.
 #include "fleet/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -342,15 +342,12 @@ TEST(FleetCheckpoint, BlobRestoreThenPreContainKeepsDeterminism) {
 // the ingest thread joins the sections in shard order; version 3 changed only
 // the file trailer.
 
-/// The codec tests' configuration for one backend: the sweep's policy, with
-/// the overload ladder held off so that no record is shed — the snapshot
-/// header's shed/suppressed split follows queue timing, not the stream.
+/// The codec tests' configuration for one backend: the sweep's policy on a
+/// compact geometry that fits the sweep's hosts.
 PipelineOptions codec_config(CounterBackend backend, unsigned shards) {
   auto cfg = sweep_config(backend, shards);
   cfg.compact.bits_per_host = 16;
   cfg.compact.expected_hosts = 1u << 20;
-  cfg.overload.degrade_watermark = 2.0;
-  cfg.overload.shed_watermark = 2.0;
   return cfg;
 }
 
@@ -456,6 +453,48 @@ TEST(FleetCheckpoint, V2SnapshotFileAndBlobStillRestore) {
     EXPECT_THROW((void)ContainmentPipeline::restore(cfg, v2_path), support::PreconditionError);
     std::remove(path.c_str());
     std::remove(v2_path.c_str());
+  }
+}
+
+TEST(FleetCheckpoint, LegacyShedCountFoldsIntoSuppressed) {
+  // Builds whose overload ladder dropped removed hosts' records at ingest
+  // split the post-removal count between a shed slot and the suppressed slot
+  // of the header.  Those records arrived after their host's removal, so a
+  // restore counts both as suppressed.  The shed slot sits after magic,
+  // version, the config-identity fields, the shard count and records_fed.
+  constexpr std::size_t kShedOffset = 4 + 2 + 1 + 1 + 1 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 8;
+  const auto read_u64 = [](const std::string& bytes, std::size_t offset) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= std::uint64_t{static_cast<unsigned char>(bytes[offset + i])} << (8 * i);
+    }
+    return v;
+  };
+  const auto write_u64 = [](std::string& bytes, std::size_t offset, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes[offset + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  };
+  const std::span<const trace::ConnRecord> records(sweep_trace());
+  const auto resume = [&](const PipelineOptions& cfg, const std::string& blob) {
+    auto pipeline = ContainmentPipeline::restore_from_blob(cfg, blob);
+    pipeline->feed(records.subspan(pipeline->records_fed()));
+    return pipeline->finish();
+  };
+  for (const CounterBackend backend : kAllBackends) {
+    const auto cfg = codec_config(backend, 2);
+    const std::string blob = half_stream_blob(cfg);
+    EXPECT_EQ(read_u64(blob, kShedOffset), 0u) << to_string(backend);
+    const std::uint64_t suppressed = read_u64(blob, kShedOffset + 8);
+    ASSERT_GT(suppressed, 0u) << to_string(backend);
+
+    std::string legacy = blob;
+    write_u64(legacy, kShedOffset, suppressed / 2);
+    write_u64(legacy, kShedOffset + 8, suppressed - suppressed / 2);
+    const auto from_current = resume(cfg, blob);
+    const auto from_legacy = resume(cfg, legacy);
+    EXPECT_EQ(from_legacy.verdicts, from_current.verdicts) << to_string(backend);
+    EXPECT_EQ(from_legacy.metrics.records_suppressed, from_current.metrics.records_suppressed)
+        << to_string(backend);
+    EXPECT_EQ(from_legacy.metrics.records_shed, 0u) << to_string(backend);
   }
 }
 

@@ -142,7 +142,7 @@ constexpr std::size_t kBankSectionOffset =
     4 + 2 + 1 + 1 +      // magic, version, backend, hll_precision
     1 + 4 + 8 + 8 +      // compact: bits_per_host, virtual_registers, expected_hosts; failure_budget
     8 + 8 + 8 +          // scan_limit, cycle_length, check_fraction
-    4 + 8 + 8 + 8 +      // shards, records_fed, records_shed, suppressed
+    4 + 8 + 8 + 8 +      // shards, records_fed, legacy shed slot (0), suppressed
     4 * 8 +              // dead-letter stats
     8 + 8 +              // backend_switches, checkpoints_written
     1 + 8 + 4 + 4 +      // last-routed: flag, timestamp, source, destination

@@ -1,6 +1,6 @@
 // Deterministic fault injection against the fleet pipeline: worker kill and
 // respawn, scripted record corruption, stalls under tight backpressure (the
-// no-deadlock guarantee), the overload ladder's shedding mode, forced backend
+// no-deadlock guarantee), the overload ladder's top rung, forced backend
 // degradation, dead-letter classification, and the FaultPlan grammar.
 #include "fleet/fault_plan.hpp"
 
@@ -98,37 +98,29 @@ TEST(FleetFault, StallUnderTightBackpressureDoesNotDeadlock) {
   EXPECT_EQ(faulted.verdicts, baseline.verdicts);  // backpressure, not loss
 }
 
-TEST(FleetFault, SheddingDropsOnlyRemovedHostRecords) {
+TEST(FleetFault, SaturatedLadderDropsNothing) {
   const auto& records = fault_trace();
   auto base_cfg = fault_config(1);
   base_cfg.policy.scan_limit = 20;  // remove the heavy hosts early
-  auto quiet_cfg = base_cfg;
-  // Pin the baseline's ladder off (a fill fraction never exceeds 1): under
-  // CPU pressure the default ladder sheds too, and which records end up shed
-  // rather than suppressed depends on the schedule.
-  quiet_cfg.overload.degrade_watermark = 2.0;
-  quiet_cfg.overload.shed_watermark = 2.0;
-  const auto baseline = ContainmentPipeline::run(quiet_cfg, records);
-  ASSERT_EQ(baseline.metrics.records_shed, 0u);
+  const auto baseline = ContainmentPipeline::run(base_cfg, records);
 
   auto cfg = base_cfg;
   cfg.batch_size = 32;
-  // Zero watermarks + sustain 1: the ladder escalates to Shedding on the
+  // Zero watermarks + sustain 1: the ladder reaches its top rung on the
   // second batch push, independent of queue timing.
   cfg.overload.degrade_watermark = 0.0;
   cfg.overload.shed_watermark = 0.0;
   cfg.overload.sustain_pushes = 1;
-  const auto shed = ContainmentPipeline::run(cfg, records);
+  const auto saturated = ContainmentPipeline::run(cfg, records);
 
-  // Shedding only drops records the worker would have suppressed anyway, so
-  // verdicts are untouched and every post-removal record is accounted for
-  // exactly once, as shed or as suppressed: shed + suppressed is conserved.
-  EXPECT_EQ(shed.verdicts, baseline.verdicts);
-  EXPECT_GT(shed.metrics.records_shed, 0u);
-  EXPECT_EQ(shed.metrics.records_shed + shed.metrics.records_suppressed,
-            baseline.metrics.records_suppressed);
-  ASSERT_EQ(shed.metrics.shard_health.size(), 1u);
-  EXPECT_EQ(shed.metrics.shard_health[0], ShardHealth::Shedding);
+  // The ladder is a gauge: every record still reaches its shard, and each
+  // post-removal record is suppressed there exactly once.
+  ASSERT_EQ(saturated.metrics.shard_health.size(), 1u);
+  EXPECT_EQ(saturated.metrics.shard_health[0], ShardHealth::Shedding);
+  EXPECT_EQ(saturated.verdicts, baseline.verdicts);
+  EXPECT_GT(baseline.metrics.records_suppressed, 0u);
+  EXPECT_EQ(saturated.metrics.records_suppressed, baseline.metrics.records_suppressed);
+  EXPECT_EQ(saturated.metrics.records_shed, 0u);
 }
 
 TEST(FleetFault, DegradeFaultSwitchesExactShardToHll) {

@@ -2,7 +2,8 @@
 # containment verdicts written as CSV, and every axis — input format
 # (CSV vs .wtrace), shard count {1, 2, 4}, and checkpoint/resume over the binary file — must produce a
 # byte-identical verdict table.  Also pins the conversion fixed point:
-# CSV -> .wtrace -> CSV -> .wtrace reproduces the first binary byte for byte.
+# CSV -> .wtrace -> CSV -> .wtrace reproduces the first binary byte for byte,
+# and reruns under a degrade fault plan reproduce verdicts and checkpoints.
 
 set(csv_file ${WORKDIR}/bin_determinism.csv)
 set(bin_file ${WORKDIR}/bin_determinism.wtrace)
@@ -104,3 +105,38 @@ if(NOT compact_resume_out MATCHES "resumed from .* at record [1-9]")
 endif()
 expect_same(${WORKDIR}/v_compact_1.csv ${WORKDIR}/v_compact_resume.csv
             "compact resume diverged from the uninterrupted run")
+
+# Reproducibility under a fault plan: a worm-injected trace whose removed
+# hosts keep sending while two degrade clauses walk shard 0 down the backend
+# ladder.  Degrade clauses fire on the shard's batch count, so they land at
+# the same stream position only if batch composition follows the stream
+# alone, whatever the queues' timing.  Ten reruns at each shard count must
+# write byte-identical verdict CSVs and checkpoint files.
+set(fault_trace ${WORKDIR}/bin_determinism_faults.wtrace)
+run(ignored ${WORMCTL} synth --out ${fault_trace} --hosts 4000 --days 8 --seed 3)
+foreach(shards 1 2 4)
+  foreach(rep RANGE 1 10)
+    # Called directly, not through run(): a function's ARGN would split the
+    # plan at its ';'.
+    execute_process(
+      COMMAND ${WORMCTL} contain --trace ${fault_trace} --budget 400
+        --check-fraction 0.5 --cycle-days 4 --shards ${shards}
+        --inject-worm 6,1500,6 --fault-plan "degrade:0@200;degrade:0@350"
+        --checkpoint ${WORKDIR}/v_faults_${shards}_${rep}.ckpt --checkpoint-every 100000
+        --verdicts-out ${WORKDIR}/v_faults_${shards}_${rep}.csv
+      RESULT_VARIABLE rc OUTPUT_VARIABLE text ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "fault-plan run failed (${rc}) at shards=${shards}:\n${text}\n${err}")
+    endif()
+    # Shard 0 sees every batch at one shard, so both clauses must fire there.
+    if(shards EQUAL 1 AND NOT text MATCHES "2 shard backend switch")
+      message(FATAL_ERROR "the degrade clauses did not both fire at shards=1:\n${text}")
+    endif()
+    if(NOT rep EQUAL 1)
+      expect_same(${WORKDIR}/v_faults_${shards}_1.csv ${WORKDIR}/v_faults_${shards}_${rep}.csv
+                  "verdicts under a fault plan differ between reruns at shards=${shards}")
+      expect_same(${WORKDIR}/v_faults_${shards}_1.ckpt ${WORKDIR}/v_faults_${shards}_${rep}.ckpt
+                  "checkpoints under a fault plan differ between reruns at shards=${shards}")
+    endif()
+  endforeach()
+endforeach()

@@ -6,16 +6,16 @@
 # Timing and scheduling metrics (histograms in seconds, queue/batch gauges,
 # per-shard lines, pool counters) are masked by a keep-list rather than
 # value-masked: the deterministic metrics are a closed set, so the filter
-# keeps exactly those lines and drops everything else.  records_suppressed
-# and records_shed are individually racy under shedding (ingest vs worker
-# classification), but their sum is exported as
-# fleet_records_post_removal_total, which IS deterministic and kept.
+# keeps exactly those lines and drops everything else.  Every record reaches
+# its shard worker, so records_suppressed (flushed per batch, complete once
+# the workers join) and fleet_records_post_removal_total depend on the
+# stream alone and are both kept.
 #
 # Driven with -DWORMCTL=<binary> -DWORKDIR=<dir>.
 
 set(trace_file ${WORKDIR}/wormctl_metrics_trace.csv)
 
-set(keep_names "records_ingested_total|records_post_removal_total|dead_letters_total|dead_letters_overflow_total|hosts_seen_total|hosts_flagged_total|hosts_removed_total|checkpoints_written_total|backend_switches_total|workers_killed_total|workers_respawned_total|counter_memory_bytes")
+set(keep_names "records_ingested_total|records_suppressed_total|records_post_removal_total|dead_letters_total|dead_letters_overflow_total|hosts_seen_total|hosts_flagged_total|hosts_removed_total|checkpoints_written_total|backend_switches_total|workers_killed_total|workers_respawned_total|counter_memory_bytes")
 # Keep-list for the Prometheus text format: "<name>[{labels}] <value>" sample
 # lines (the \n anchor skips "# TYPE" lines, which start with '#').
 set(keep_prom "fleet_(${keep_names})[\\{ ]")

@@ -33,6 +33,9 @@ file(WRITE ${driver} [=[
 WORMCTL=$1; WORKDIR=$2; TRACE=$3
 RLOG=$WORKDIR/net_failover_replica.log
 PLOG=$WORKDIR/net_failover_primary.log
+# Logs left by an earlier run still name that run's ports; remove them so
+# scrape_port can only read this run's.
+rm -f "$RLOG" "$PLOG"
 
 scrape_port() {
   _log=$1; _port=
@@ -71,6 +74,8 @@ PPORT=$(scrape_port "$PLOG")
   --batch-records 4096 --retry-base-ms 10 --retry-cap-ms 50 --retry-max 3 \
   > "$WORKDIR/net_failover_ingest.log" 2>&1
 INGEST_RC=$?
+# A failed client leaves the nodes waiting for their clients forever: stop them.
+[ $INGEST_RC -eq 0 ] || kill $PRIMARY $REPLICA 2>/dev/null
 wait $PRIMARY
 PRIMARY_RC=$?
 wait $REPLICA

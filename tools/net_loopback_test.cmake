@@ -29,12 +29,16 @@ if(NOT rc EQUAL 0)
 endif()
 
 # POSIX-shell driver: serve in the background on an ephemeral port, scrape
-# the bound port from its log, run the two clients, wait for everything.
+# the bound port from its log, run the two clients, wait for everything
+# (stopping serve first if a client failed).
 # Args: wormctl workdir trace fault-plan(optional, empty = none) tag
 file(WRITE ${driver} [=[
 #!/bin/sh
 WORMCTL=$1; WORKDIR=$2; TRACE=$3; FAULTS=$4; TAG=$5
 SERVE_LOG=$WORKDIR/net_loopback_serve_$TAG.log
+# A log left by an earlier run still names that run's port; remove it so the
+# scrape below can only read this round's.
+rm -f "$SERVE_LOG"
 if [ -n "$FAULTS" ]; then
   "$WORMCTL" serve --listen 127.0.0.1:0 --budget 400 --shards 2 \
     --expect-clients 2 --verdicts-out "$WORKDIR/net_loopback_serve_$TAG.csv" \
@@ -64,6 +68,8 @@ CLIENT1=$!
   > "$WORKDIR/net_loopback_ingest2_$TAG.log" 2>&1
 RC2=$?
 wait $CLIENT1; RC1=$?
+# A failed client leaves serve waiting for --expect-clients forever: stop it.
+if [ $RC1 -ne 0 ] || [ $RC2 -ne 0 ]; then kill $SERVE 2>/dev/null; fi
 wait $SERVE; RCS=$?
 [ $RC1 -eq 0 ] || { echo "client 1 failed: $RC1"; exit 1; }
 [ $RC2 -eq 0 ] || { echo "client 2 failed: $RC2"; exit 1; }

@@ -156,6 +156,7 @@
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -483,13 +484,11 @@ void print_contain_report(const fleet::PipelineResult& result,
               static_cast<double>(m.counter_memory_bytes) / 1024.0);
   for (const std::size_t hw : m.queue_high_water) std::printf(" %zu", hw);
   std::printf("\n");
-  std::printf("dead letters: %llu (%llu malformed, %llu out-of-order, %llu duplicate); "
-              "%llu record(s) shed\n",
+  std::printf("dead letters: %llu (%llu malformed, %llu out-of-order, %llu duplicate)\n",
               static_cast<unsigned long long>(m.dead_letters.total()),
               static_cast<unsigned long long>(m.dead_letters.malformed),
               static_cast<unsigned long long>(m.dead_letters.out_of_order),
-              static_cast<unsigned long long>(m.dead_letters.duplicate),
-              static_cast<unsigned long long>(m.records_shed));
+              static_cast<unsigned long long>(m.dead_letters.duplicate));
   if (m.workers_killed > 0 || m.workers_respawned > 0 || m.backend_switches > 0) {
     std::printf("faults: %u worker(s) killed, %u respawned, %llu shard backend switch(es)\n",
                 m.workers_killed, m.workers_respawned,
@@ -571,28 +570,7 @@ int cmd_contain(const support::CliArgs& args) {
   const bool synth = args.get_bool("synth", false);
   require(synth || !path.empty(), "contain requires --trace FILE or --synth");
 
-  fleet::PipelineOptions cfg;
-  cfg.policy.scan_limit = args.get_u64("budget", 5'000);
-  cfg.policy.cycle_length = args.get_double("cycle-days", 30.0) * sim::kDay;
-  cfg.policy.check_fraction = args.get_double("check-fraction", 1.0);
-  cfg.shards = args.get_u32("shards", 0);
-  require(cfg.shards <= 1024, "--shards must be <= 1024");
-  cfg.hll_precision = static_cast<int>(args.get_u32("hll-precision", 12));
-  require(cfg.hll_precision >= 4 && cfg.hll_precision <= 16, "--hll-precision must be in [4, 16]");
-  const std::string counter = args.get_string("counter", "exact");
-  require(counter == "exact" || counter == "hll" || counter == "compact",
-          "--counter must be exact, hll, or compact");
-  cfg.backend = counter == "hll"       ? fleet::CounterBackend::Hll
-                : counter == "compact" ? fleet::CounterBackend::Compact
-                                       : fleet::CounterBackend::Exact;
-  cfg.compact.bits_per_host =
-      args.get_u32("compact-bits-per-host", cfg.compact.bits_per_host);
-  cfg.compact.virtual_registers =
-      args.get_u32("compact-virtual-registers", cfg.compact.virtual_registers);
-  cfg.compact.expected_hosts =
-      args.get_u64("compact-expected-hosts", cfg.compact.expected_hosts);
-  cfg.compact.validate();  // bad geometry fails here, at parse time
-  cfg.failure_budget = args.get_u64("failure-budget", 0);
+  fleet::PipelineOptions cfg = wormctl::parse_pipeline(args);
   const std::string verdicts_out = args.get_string("verdicts-out", "");
   require(!(args.has("verdicts-out") && verdicts_out == "true"),
           "--verdicts-out requires a file path");
@@ -626,15 +604,6 @@ int cmd_contain(const support::CliArgs& args) {
     cfg.metrics_export_path = metrics_path;
     cfg.metrics_export_every = metrics_every;
     cfg.metrics_export_json = metrics_format == "json";
-  }
-  // Live scrape endpoint: up before the first record, torn down after the
-  // run, serving fresh Registry snapshots the whole time.
-  std::unique_ptr<fleet::net::MetricsHttpServer> scrape;
-  if (metrics_listen != 0) {
-    scrape = std::make_unique<fleet::net::MetricsHttpServer>(
-        registry, fleet::net::Endpoint{"127.0.0.1", metrics_listen});
-    std::printf("metrics on 127.0.0.1:%u\n", static_cast<unsigned>(scrape->port()));
-    std::fflush(stdout);
   }
 
   cfg.node_id = args.get_u64("node-id", 0);
@@ -674,6 +643,26 @@ int cmd_contain(const support::CliArgs& args) {
   obs::EventLog events(event_options);
   if (!events_path.empty() || !trace_out.empty()) cfg.events = &events;
 
+  trace::LblSynthConfig synth_cfg;
+  if (synth) {
+    synth_cfg.hosts = args.get_u32("hosts", 1'645);
+    synth_cfg.duration = args.get_double("days", 30.0) * sim::kDay;
+    synth_cfg.seed = args.get_u64("synth-seed", synth_cfg.seed);
+  }
+  std::optional<fleet::WormInjectConfig> inject;
+  if (args.has("inject-worm")) inject = parse_inject_spec(args.get_string("inject-worm", ""), seed);
+  wormctl::reject_unknown_flags(args);
+
+  // Live scrape endpoint: up before the first record, torn down after the
+  // run, serving fresh Registry snapshots the whole time.
+  std::unique_ptr<fleet::net::MetricsHttpServer> scrape;
+  if (metrics_listen != 0) {
+    scrape = std::make_unique<fleet::net::MetricsHttpServer>(
+        registry, fleet::net::Endpoint{"127.0.0.1", metrics_listen});
+    std::printf("metrics on 127.0.0.1:%u\n", static_cast<unsigned>(scrape->port()));
+    std::fflush(stdout);
+  }
+
   // Input format by magic sniff, not extension: a .wtrace file streams
   // zero-copy from the mmap (the conversion already fixed the time-sorted
   // order, so the stream is bit-identical to the CSV path's); anything else
@@ -682,14 +671,10 @@ int cmd_contain(const support::CliArgs& args) {
   // parser garbage.  Materialize only when a later stage rewrites the
   // stream (worm injection) or replays it (divergence).
   const bool binary_input = !synth && trace::looks_like_wtrace_file(path);
-  const bool stream_binary = binary_input && !args.has("inject-worm") && !divergence;
+  const bool stream_binary = binary_input && !inject && !divergence;
   std::vector<trace::ConnRecord> records;
   std::vector<trace::TraceParseDiagnostic> parse_rejects;
   if (synth) {
-    trace::LblSynthConfig synth_cfg;
-    synth_cfg.hosts = args.get_u32("hosts", 1'645);
-    synth_cfg.duration = args.get_double("days", 30.0) * sim::kDay;
-    synth_cfg.seed = args.get_u64("synth-seed", synth_cfg.seed);
     records = trace::synthesize_lbl_trace(synth_cfg).records;
   } else if (binary_input) {
     if (!stream_binary) records = trace::read_wtrace_file(path);
@@ -711,9 +696,8 @@ int cmd_contain(const support::CliArgs& args) {
   }
 
   std::vector<std::uint32_t> infected;
-  if (args.has("inject-worm")) {
-    auto inject = parse_inject_spec(args.get_string("inject-worm", ""), seed);
-    auto injected = fleet::inject_worm_scans(std::move(records), inject);
+  if (inject) {
+    auto injected = fleet::inject_worm_scans(std::move(records), *inject);
     records = std::move(injected.records);
     infected = std::move(injected.infected_hosts);
     std::printf("injected %llu worm records from %zu host(s)\n\n",
@@ -978,13 +962,7 @@ int main(int argc, char** argv) {
     } else {
       return usage();
     }
-    const auto stray = args.unconsumed();
-    if (!stray.empty()) {
-      std::fprintf(stderr, "error: unknown flag(s):");
-      for (const auto& s : stray) std::fprintf(stderr, " --%s", s.c_str());
-      std::fprintf(stderr, "\n");
-      return 1;
-    }
+    wormctl::reject_unknown_flags(args);
     return rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -101,34 +101,6 @@ using fleet::net::Endpoint;
   return r;
 }
 
-/// Pipeline knobs shared with `contain` (the serve node hosts the same
-/// pipeline, minus the file-centric flags).
-[[nodiscard]] fleet::PipelineOptions parse_pipeline(const support::CliArgs& args) {
-  fleet::PipelineOptions cfg;
-  cfg.policy.scan_limit = args.get_u64("budget", 5'000);
-  cfg.policy.cycle_length = args.get_double("cycle-days", 30.0) * sim::kDay;
-  cfg.policy.check_fraction = args.get_double("check-fraction", 1.0);
-  cfg.shards = args.get_u32("shards", 0);
-  require(cfg.shards <= 1024, "--shards must be <= 1024");
-  cfg.hll_precision = static_cast<int>(args.get_u32("hll-precision", 12));
-  require(cfg.hll_precision >= 4 && cfg.hll_precision <= 16, "--hll-precision must be in [4, 16]");
-  const std::string counter = args.get_string("counter", "exact");
-  require(counter == "exact" || counter == "hll" || counter == "compact",
-          "--counter must be exact, hll, or compact");
-  cfg.backend = counter == "hll"       ? fleet::CounterBackend::Hll
-                : counter == "compact" ? fleet::CounterBackend::Compact
-                                       : fleet::CounterBackend::Exact;
-  cfg.compact.bits_per_host =
-      args.get_u32("compact-bits-per-host", cfg.compact.bits_per_host);
-  cfg.compact.virtual_registers =
-      args.get_u32("compact-virtual-registers", cfg.compact.virtual_registers);
-  cfg.compact.expected_hosts =
-      args.get_u64("compact-expected-hosts", cfg.compact.expected_hosts);
-  cfg.compact.validate();  // bad geometry fails here, at parse time
-  cfg.failure_budget = args.get_u64("failure-budget", 0);
-  return cfg;
-}
-
 void print_node_report(const fleet::net::NodeReport& report) {
   analysis::Table t({"metric", "value"});
   const auto row = [&](const char* name, std::uint64_t value) {
@@ -168,6 +140,47 @@ void print_node_report(const fleet::net::NodeReport& report) {
 }
 
 }  // namespace
+
+fleet::PipelineOptions parse_pipeline(const support::CliArgs& args) {
+  fleet::PipelineOptions cfg;
+  cfg.policy.scan_limit = args.get_u64("budget", 5'000);
+  require(cfg.policy.scan_limit >= 1, "--budget must be >= 1");
+  cfg.policy.cycle_length = args.get_double("cycle-days", 30.0) * sim::kDay;
+  require(cfg.policy.cycle_length > 0.0, "--cycle-days must be positive");
+  cfg.policy.check_fraction = args.get_double("check-fraction", 1.0);
+  require(cfg.policy.check_fraction > 0.0 && cfg.policy.check_fraction <= 1.0,
+          "--check-fraction must be in (0, 1]");
+  cfg.shards = args.get_u32("shards", 0);
+  require(cfg.shards <= 1024, "--shards must be <= 1024");
+  cfg.hll_precision = static_cast<int>(args.get_u32("hll-precision", 12));
+  require(cfg.hll_precision >= 4 && cfg.hll_precision <= 16, "--hll-precision must be in [4, 16]");
+  const std::string counter = args.get_string("counter", "exact");
+  require(counter == "exact" || counter == "hll" || counter == "compact",
+          "--counter must be exact, hll, or compact");
+  cfg.backend = counter == "hll"       ? fleet::CounterBackend::Hll
+                : counter == "compact" ? fleet::CounterBackend::Compact
+                                       : fleet::CounterBackend::Exact;
+  cfg.compact.bits_per_host =
+      args.get_u32("compact-bits-per-host", cfg.compact.bits_per_host);
+  cfg.compact.virtual_registers =
+      args.get_u32("compact-virtual-registers", cfg.compact.virtual_registers);
+  cfg.compact.expected_hosts =
+      args.get_u64("compact-expected-hosts", cfg.compact.expected_hosts);
+  // Checked whatever the counter: every shard hosts a pool, the bottom rung
+  // a fault plan's degrade clauses step down into.
+  const char* bad_geometry = cfg.compact.invalid_reason();
+  require(bad_geometry == nullptr, bad_geometry);
+  cfg.failure_budget = args.get_u64("failure-budget", 0);
+  return cfg;
+}
+
+void reject_unknown_flags(const support::CliArgs& args) {
+  const std::vector<std::string> stray = args.unconsumed();
+  if (stray.empty()) return;
+  std::string message = "unknown flag(s):";
+  for (const std::string& flag : stray) message += " --" + flag;
+  throw UsageError(message);
+}
 
 std::uint16_t parse_metrics_listen(const support::CliArgs& args) {
   if (!args.has("metrics-listen")) return 0;
@@ -241,6 +254,7 @@ int cmd_serve(const support::CliArgs& args) {
   const std::string events_path = parse_events_path(args);
   obs::EventLog events(parse_event_log_options(args));
   if (!events_path.empty()) options.pipeline.events = &events;
+  reject_unknown_flags(args);
 
   const std::string listen_host = options.listen.host;
   fleet::net::ServeNode node(std::move(options));
@@ -299,16 +313,19 @@ int cmd_ingest(const support::CliArgs& args) {
   if (args.has("hosts-mod")) {
     std::tie(mod, rem) = parse_hosts_mod(args.get_string("hosts-mod", ""));
   }
-
-  // The factory re-opens the stream on every (re)connect — resume needs a
-  // rewind, and sources are single-pass.  CSV is materialized (and stream-
-  // sorted, as `contain` does) once up front; .wtrace re-maps per session.
-  fleet::net::SourceFactory factory;
   trace::LblSynthConfig synth_cfg;
   if (synth) {
     synth_cfg.hosts = args.get_u32("hosts", 1'645);
     synth_cfg.duration = args.get_double("days", 30.0) * sim::kDay;
     synth_cfg.seed = args.get_u64("synth-seed", synth_cfg.seed);
+  }
+  reject_unknown_flags(args);
+
+  // The factory re-opens the stream on every (re)connect — resume needs a
+  // rewind, and sources are single-pass.  CSV is materialized (and stream-
+  // sorted, as `contain` does) once up front; .wtrace re-maps per session.
+  fleet::net::SourceFactory factory;
+  if (synth) {
     factory = [synth_cfg] { return std::make_unique<trace::SynthSource>(synth_cfg); };
   } else if (trace::looks_like_wtrace_file(path)) {
     factory = [path]() -> std::unique_ptr<trace::RecordSource> {

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "fleet/pipeline.hpp"
 #include "obs/event_log.hpp"
 #include "support/cli.hpp"
 
@@ -25,6 +26,11 @@ inline void require(bool ok, const char* message) {
   if (!ok) throw UsageError(message);
 }
 
+/// Throws UsageError naming every flag the subcommand has not read.  A
+/// subcommand that writes files or opens sockets calls it once its flags are
+/// parsed, before any of that work, so a mistyped flag costs nothing.
+void reject_unknown_flags(const worms::support::CliArgs& args);
+
 /// `wormctl serve` — run a containment node: TCP ingest, alert gossip,
 /// checkpoint replication, promote-on-failure.
 int cmd_serve(const worms::support::CliArgs& args);
@@ -40,8 +46,11 @@ int cmd_race(const worms::support::CliArgs& args);
 int cmd_status(const worms::support::CliArgs& args);
 
 // Flag helpers shared between `serve` (here) and `contain` (wormctl.cpp):
-// strict --metrics-listen port parse (rejects 0 and > 65535), --events /
+// the pipeline knobs (--budget, --cycle-days, --check-fraction, --shards,
+// --counter, --hll-precision, --compact-*, --failure-budget), strict
+// --metrics-listen port parse (rejects 0 and > 65535), --events /
 // --events-clock handling, and the journal writer.
+[[nodiscard]] worms::fleet::PipelineOptions parse_pipeline(const worms::support::CliArgs& args);
 [[nodiscard]] std::uint16_t parse_metrics_listen(const worms::support::CliArgs& args);
 [[nodiscard]] std::string parse_events_path(const worms::support::CliArgs& args);
 [[nodiscard]] worms::obs::EventLogOptions parse_event_log_options(
